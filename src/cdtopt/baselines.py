@@ -1,33 +1,23 @@
 """Reference methods: penalized continuous densities with optimality-criteria
 updates (SIMP), and the greedy keep-the-most-energetic-elements scheme (BESO)
-run on the same volume schedule as the dual solver.
+run in the dual solver's outer loop.  :data:`METHODS` names every method
+for the command line and the wall-time probe.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from . import knapsack
-from .driver import (
-    IterationRecord,
-    MaxOuterExceeded,
-    RunRecord,
-    stored_energy_gains,
-    volume_schedule,
-)
-from .fem import (
-    assemble,
-    compliance,
-    element_energies,
-    solve_equilibrium,
-    strain_energy,
-)
+from .driver import CdtConfig, IterationRecord, RunRecord, outer_loop, run_cdt
+from .fem import assemble, compliance, element_energies, solve_equilibrium, strain_energy
+from .problems import build_cantilever2d
 
 __all__ = [
     "SimpConfig",
@@ -36,6 +26,8 @@ __all__ = [
     "run_simp",
     "run_beso",
     "beso_select",
+    "METHODS",
+    "run_method",
     "per_iteration_cost_probe",
 ]
 
@@ -186,62 +178,36 @@ def beso_select(w, v, budget, current):
 def run_beso(model, volfrac, config):
     """Greedy evolutionary baseline on the shared volume schedule.
 
-    Per outer step: equilibrium solve, element gains, keep the top
-    elements within the scheduled budget.  Stop rule identical to the
-    dual-knapsack driver.
+    The outer loop, schedule and stop rule of the dual-knapsack driver,
+    with :func:`beso_select` as the selection step.
     """
     if not 0.0 < volfrac <= 1.0:
         raise ValueError("volfrac must lie in (0, 1]")
-    mesh = model.mesh
-    n = mesh.n_elements
-    v = mesh.element_volumes()
-    V_c = volfrac
-    rho = np.ones(n)
-    V_prev = 1.0
-    P_prev = None
-    record = RunRecord(method="beso")
-    converged = False
-    for gamma in range(1, config.max_outer + 1):
-        t0 = time.perf_counter()
-        u = solve_equilibrium(model, rho, strict=False)
-        t1 = time.perf_counter()
-        w = stored_energy_gains(model, rho, u)
-        V_g = volume_schedule(V_prev, config.mu, V_c)
-        rho_new = beso_select(w, v, V_g, rho)
-        t2 = time.perf_counter()
-        P_cur = -float(np.dot(w, rho_new))
-        if P_prev is None:
-            P_prev = -float(np.dot(w, rho))
-        record.rows.append(IterationRecord(
-            gamma=gamma,
-            inner_iters=1,
-            volume=float(np.dot(v, rho_new)),
-            compliance=compliance(u, model.load),
-            strain_energy=float(np.dot(w, rho_new)),
-            P_u=P_cur,
-            P_dual=math.nan,
-            elapsed_ms=(t2 - t0) * 1e3,
-            V_gamma=V_g,
-            fem_ms=(t1 - t0) * 1e3,
-            update_ms=(t2 - t1) * 1e3,
-        ))
-        settled = abs(P_cur - P_prev) <= config.omega2
-        at_floor = V_g <= V_c + 1e-12
-        rho = rho_new
-        V_prev = V_g
-        P_prev = P_cur
-        if settled and at_floor:
-            converged = True
-            break
-    if not converged:
-        raise MaxOuterExceeded(
-            f"no convergence in {config.max_outer} outer iterations", record=record
-        )
-    u_final = solve_equilibrium(model, rho)
-    record.converged = True
-    record.final_compliance = compliance(u_final, model.load)
-    record.final_volume = float(np.dot(v, rho))
-    return knapsack.BinaryDensity(rho), u_final, record
+
+    def select(w, v, V_g, rho):
+        return beso_select(w, v, V_g, rho), {"inner_iters": 1, "P_dual": math.nan}
+
+    return outer_loop(model, volfrac, config, "beso", select)
+
+
+# method name -> (config class, run(model, volfrac, config))
+METHODS = {
+    "cdt": (CdtConfig, lambda model, volfrac, config: run_cdt(model, config)),
+    "beso": (BesoConfig, run_beso),
+    "simp": (SimpConfig, run_simp),
+}
+
+
+def run_method(name, model, options):
+    """Run method ``name`` of :data:`METHODS`; returns (densities, RunRecord).
+    ``options`` holds volfrac and sets each config field it names."""
+    config_cls, run = METHODS[name]
+    config = config_cls(**{f.name: options[f.name] for f in fields(config_cls)
+                           if f.name in options})
+    design, _, record = run(model, options["volfrac"], config)
+    if isinstance(design, knapsack.BinaryDensity):
+        design = design.rho
+    return design, record
 
 
 @dataclass(frozen=True)
@@ -260,25 +226,19 @@ def per_iteration_cost_probe(mesh_sizes, volfrac=0.5, mu=0.97, methods=("cdt", "
                              build=None):
     """Wall-time comparison across mesh sizes.
 
-    ``mesh_sizes`` is a sequence of (nelx, nely); each method is run to
-    convergence on the long cantilever (or a custom ``build`` callable)
-    and one CostRow per (method, mesh) is returned.
+    ``mesh_sizes`` is a sequence of (nelx, nely); each method of
+    :data:`METHODS` is run to convergence on the long cantilever (or a
+    custom ``build`` callable) and one CostRow per (method, mesh) is
+    returned.
     """
-    from .driver import CdtConfig, run_cdt
-    from .problems import build_cantilever2d
-
     build = build or build_cantilever2d
+    options = {"volfrac": volfrac, "mu": mu}
     rows = []
     for nelx, nely in mesh_sizes:
         model = build(nelx, nely)
         for method in methods:
             t0 = time.perf_counter()
-            if method == "cdt":
-                _, _, rec = run_cdt(model, CdtConfig(volfrac=volfrac, mu=mu))
-            elif method == "beso":
-                _, _, rec = run_beso(model, volfrac, BesoConfig(mu=mu))
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            _, rec = run_method(method, model, options)
             total = time.perf_counter() - t0
             rows.append(CostRow(
                 method=method,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, knapsack
-from .baselines import BesoConfig, SimpConfig, per_iteration_cost_probe, run_beso, run_simp
-from .driver import CdtConfig, DriverError, run_cdt
+from .baselines import METHODS, per_iteration_cost_probe, run_method
+from .driver import DriverError
 from .fem import FemError
 from .problems import ProblemSpec, build_problem
 
@@ -61,7 +61,7 @@ def _add_run(sub):
     p.add_argument("--nelz", type=int, default=4)
     p.add_argument("--volfrac", type=float, default=0.4)
     p.add_argument("--mu", type=float, default=0.97)
-    p.add_argument("--method", choices=("cdt", "simp", "beso"), default="cdt")
+    p.add_argument("--method", choices=tuple(METHODS), default="cdt")
     p.add_argument("--E", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=0.3)
     p.add_argument("--emin", type=float, default=1e-9)
@@ -104,7 +104,8 @@ def _add_probe(sub):
                    help="comma-separated nelx x nely pairs, e.g. 20x8,40x16")
     p.add_argument("--volfrac", type=float, default=0.5)
     p.add_argument("--mu", type=float, default=0.97)
-    p.add_argument("--methods", default="cdt,beso")
+    p.add_argument("--methods", default="cdt,beso",
+                   help=f"comma-separated, from {', '.join(METHODS)}")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
 
@@ -165,6 +166,10 @@ def parse_cli(argv):
         for d in ("nelx", "nely", "nelz"):
             if opts[d] < 1:
                 raise UsageError(f"{d} must be positive")
+    elif cmd == "probe":
+        unknown = [m for m in opts["methods"].split(",") if m not in METHODS]
+        if unknown:
+            raise UsageError(f"unknown method(s) {unknown}; choose from {list(METHODS)}")
     return CliInvocation(subcommand=cmd, options=opts)
 
 
@@ -256,24 +261,7 @@ def _cmd_run(options):
                                          E_min=options["emin"]))
     model = build_problem(spec)
     method = options["method"]
-    if method == "cdt":
-        cfg = CdtConfig(volfrac=options["volfrac"], mu=options["mu"],
-                        tau0=options["tau0"], omega1=options["omega1"],
-                        omega2=options["omega2"], max_outer=options["max_outer"])
-        density, _, record = run_cdt(model, cfg)
-        rho = density.rho
-    elif method == "beso":
-        density, _, record = run_beso(model, options["volfrac"],
-                                      BesoConfig(mu=options["mu"],
-                                                 omega2=options["omega2"],
-                                                 max_outer=options["max_outer"]))
-        rho = density.rho
-    else:
-        rho, _, record = run_simp(model, options["volfrac"],
-                                  SimpConfig(penal=options["penal"],
-                                             rmin=options["rmin"],
-                                             ft=options["ft"],
-                                             omega2=options["omega2"]))
+    rho, record = run_method(method, model, options)
     out = _out_dir(options)
     tag = f"{options['problem']}_{method}"
     write_density_pgm(rho, model.mesh, os.path.join(out, f"{tag}_density.pgm"),

@@ -3,9 +3,11 @@ knapsack updates under a geometric volume-reduction schedule.
 
 Each outer step solves the elastic equilibrium at the current layout,
 scores every element by the strain energy it would store, and re-selects
-the kept subset by the dual knapsack solver at the scheduled budget
-V_g = max(V_c, mu * V_{g-1}).  The loop stops once the budget has reached
-its target and the selection objective has settled.
+the kept subset at the scheduled budget V_g = max(V_c, mu * V_{g-1}).
+The loop stops once the budget has reached its target and the selection
+objective has settled.  :func:`run_cdt` selects with the dual knapsack
+solver; BESO (:func:`cdtopt.baselines.run_beso`) runs the same loop with
+a greedy selector.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "volume_schedule",
     "stored_energy_gains",
     "primal_upper_objective",
+    "outer_loop",
     "run_cdt",
 ]
 
@@ -132,71 +135,47 @@ def primal_upper_objective(rho, u, f, w):
     return float(np.dot(np.asarray(f, float), uvec) - np.dot(w, np.asarray(rho, float)))
 
 
-def run_cdt(model, config):
-    """Run the alternating dual-knapsack optimization on ``model``.
+def outer_loop(model, volfrac, config, method, select):
+    """Shared outer loop of CDT and BESO, from the fully solid design.
 
-    Returns (BinaryDensity, Displacement at the final layout, RunRecord).
-    Starts from the fully solid design; stops when the budget has reached
-    volfrac and the selection objective changes by at most omega2.
+    Each step solves equilibrium, scores the elements and calls
+    ``select(w, v, V_g, rho)``, which returns the new layout and its own
+    record fields.  Returns (BinaryDensity, final Displacement, RunRecord);
+    raises MaxOuterExceeded if the stop rule is not met within max_outer.
     """
-    mesh = model.mesh
-    n = mesh.n_elements
-    v = mesh.element_volumes()
-    V_c = config.volfrac  # V0 = 1 by construction
-    rho = np.ones(n)
-    V_prev = 1.0
-    tau_warm = config.tau0
-    P_prev = None
-    record = RunRecord(method="cdt")
-    converged = False
+    v = model.mesh.element_volumes()
+    rho = np.ones(model.mesh.n_elements)
+    V_g = 1.0  # V0 = 1 by construction
+    record = RunRecord(method=method)
     for gamma in range(1, config.max_outer + 1):
         t0 = time.perf_counter()
         u = solve_equilibrium(model, rho, strict=False)
         t1 = time.perf_counter()
         w = stored_energy_gains(model, rho, u)
-        V_g = volume_schedule(V_prev, config.mu, V_c)
-        instance = knapsack.KnapsackInstance(w, v, V_g)
-        params = knapsack.SolveParams(
-            beta0=config.beta0,
-            tau0=tau_warm,
-            omega1=config.omega1,
-            max_inner=config.max_inner,
-            perturb=True,
-            perturb_scale=config.perturb_scale,
-        )
-        result = knapsack.solve(instance, params=params)
+        V_g = volume_schedule(V_g, config.mu, volfrac)
+        rho_new, fields = select(w, v, V_g, rho)
         t2 = time.perf_counter()
-        rho_new = result.density.rho
-        cert = result.certificate
-        P_cur = cert.primal_objective
-        if P_prev is None:
+        gain = float(np.dot(w, rho_new))
+        if gamma == 1:
             P_prev = -float(np.dot(w, rho))  # reference: previous layout, same gains
         record.rows.append(IterationRecord(
             gamma=gamma,
-            inner_iters=cert.inner_iterations,
             volume=float(np.dot(v, rho_new)),
             compliance=compliance(u, model.load),
-            strain_energy=cert.gain,
-            P_u=P_cur,
-            P_dual=cert.dual_objective_beta,
+            strain_energy=gain,
+            P_u=-gain,
             elapsed_ms=(t2 - t0) * 1e3,
             V_gamma=V_g,
-            tau_start=tau_warm,
-            tau_end=result.point.tau,
             upper_objective=primal_upper_objective(rho_new, u, model.load, w),
             fem_ms=(t1 - t0) * 1e3,
             update_ms=(t2 - t1) * 1e3,
+            **fields,
         ))
-        settled = abs(P_cur - P_prev) <= config.omega2
-        at_floor = V_g <= V_c + 1e-12
         rho = rho_new
-        V_prev = V_g
-        P_prev = P_cur
-        tau_warm = result.point.tau
-        if settled and at_floor:
-            converged = True
+        if abs(-gain - P_prev) <= config.omega2 and V_g <= volfrac + 1e-12:
             break
-    if not converged:
+        P_prev = -gain
+    else:
         raise MaxOuterExceeded(
             f"no convergence in {config.max_outer} outer iterations", record=record
         )
@@ -205,3 +184,26 @@ def run_cdt(model, config):
     record.final_compliance = compliance(u_final, model.load)
     record.final_volume = float(np.dot(v, rho))
     return knapsack.BinaryDensity(rho), u_final, record
+
+
+def run_cdt(model, config):
+    """Run the alternating dual-knapsack optimization on ``model``.
+
+    Returns (BinaryDensity, Displacement at the final layout, RunRecord).
+    Each knapsack solve is warm-started at the previous step's tau.
+    """
+    tau = config.tau0
+
+    def select(w, v, V_g, rho):
+        nonlocal tau
+        params = knapsack.SolveParams(beta0=config.beta0, tau0=tau, omega1=config.omega1,
+                                      max_inner=config.max_inner,
+                                      perturb_scale=config.perturb_scale)
+        result = knapsack.solve(knapsack.KnapsackInstance(w, v, V_g), params=params)
+        cert = result.certificate
+        fields = dict(inner_iters=cert.inner_iterations, P_dual=cert.dual_objective_beta,
+                      tau_start=tau, tau_end=result.point.tau)
+        tau = result.point.tau
+        return result.density.rho, fields
+
+    return outer_loop(model, config.volfrac, config, "cdt", select)

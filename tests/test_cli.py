@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -201,3 +202,26 @@ def test_main_probe_writes_cost_csv(tmp_path):
     lines = (tmp_path / "cost_probe.csv").read_text().splitlines()
     assert lines[0].startswith("method,nelx,nely")
     assert len(lines) == 5  # header + 2 meshes x 2 methods
+
+
+def test_main_probe_runs_simp(tmp_path):
+    code = cli.main(["probe", "--sizes", "12x4", "--methods", "simp",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "cost_probe.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["method"] for r in rows] == ["simp"]
+    assert float(rows[0]["fem_s"]) > 0.0 and float(rows[0]["update_s"]) > 0.0
+
+
+def test_probe_rejects_unknown_method_before_running(tmp_path):
+    with pytest.raises(cli.UsageError, match="bogus"):
+        cli.parse_cli(["probe", "--sizes", "8x4", "--methods", "cdt,bogus"])
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("methods = bogus\n")
+    with pytest.raises(cli.UsageError, match="bogus"):
+        cli.parse_cli(["probe", "--config", str(cfg)])
+    code = cli.main(["probe", "--sizes", "8x4", "--methods", "cdt,bogus",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert not (tmp_path / "cost_probe.csv").exists()

@@ -1,8 +1,11 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdtopt
 from cdtopt import fem
 from cdtopt.driver import (
     CdtConfig,
@@ -121,3 +124,32 @@ def test_run_record_strain_energy_consistent():
     for r in rec.rows:
         assert r.P_u == -r.strain_energy
         assert np.isfinite(r.compliance) and r.compliance > 0.0
+
+
+def test_benchmark_tracing_hooks_reach_the_outer_loop():
+    # perfbench/tracing.py swaps module globals of cdtopt.driver and
+    # cdtopt.baselines by name; the shared loop must keep calling through them
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    undo = tracing.instrument(cdtopt, tracer)
+    try:
+        _, _, rec = cdtopt.driver.run_cdt(build_mbb(16, 6), CdtConfig(volfrac=0.5, mu=0.95))
+    finally:
+        undo()
+    assert cdtopt.driver.run_cdt is run_cdt
+    spans = tracer.take()
+
+    def under_run_cdt(span):
+        while span[tracing.PARENT] >= 0:
+            span = spans[span[tracing.PARENT]]
+            if span[tracing.NAME] == "driver.run_cdt":
+                return True
+        return False
+
+    nested = [s[tracing.NAME] for s in spans if under_run_cdt(s)]
+    # one solve per outer iteration plus the final one; one knapsack per iteration
+    assert nested.count("fem.solve") == rec.outer_iterations + 1
+    assert nested.count("knapsack.solve") == rec.outer_iterations
