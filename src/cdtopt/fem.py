@@ -24,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 __all__ = [
     "FemError",
@@ -286,10 +288,24 @@ def element_dof_map(dims):
     return edof
 
 
+@lru_cache(maxsize=32)
 def _unit_ke(mesh, material):
-    if mesh.ndim == 2:
-        return element_stiffness_2d(material)
-    return element_stiffness_3d(material)
+    ke = element_stiffness_2d(material) if mesh.ndim == 2 else element_stiffness_3d(material)
+    ke.flags.writeable = False
+    return ke
+
+
+def _moduli(model, rho, penal):
+    """Element moduli E_min + (E - E_min) rho^penal after checking rho."""
+    mesh, mat = model.mesh, model.material
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (mesh.n_elements,):
+        raise ValueError(
+            f"rho has shape {rho.shape}, expected ({mesh.n_elements},)"
+        )
+    if not np.all((rho >= -1e-12) & (rho <= 1.0 + 1e-12)):
+        raise ValueError("rho values must lie in [0, 1]")
+    return mat.E_min + (mat.E - mat.E_min) * rho ** penal
 
 
 def assemble(model, rho, penal=1.0):
@@ -298,17 +314,10 @@ def assemble(model, rho, penal=1.0):
     Returns the full-dof matrix; boundary conditions are applied by
     reduction to free dofs at solve time (no penalty terms).
     """
-    mesh, mat = model.mesh, model.material
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (mesh.n_elements,):
-        raise ValueError(
-            f"rho has shape {rho.shape}, expected ({mesh.n_elements},)"
-        )
-    if np.any(rho < -1e-12) or np.any(rho > 1.0 + 1e-12):
-        raise ValueError("rho values must lie in [0, 1]")
-    ke = _unit_ke(mesh, mat)
+    mesh = model.mesh
+    scale = _moduli(model, rho, penal)
+    ke = _unit_ke(mesh, model.material)
     edof = element_dof_map(mesh.dims)
-    scale = mat.E_min + (mat.E - mat.E_min) * rho ** penal
     m = ke.shape[0]
     data = (scale[:, None, None] * ke[None, :, :]).ravel()
     rows = np.repeat(edof, m, axis=1).ravel()
@@ -321,11 +330,66 @@ def free_dofs(model):
     return np.setdiff1d(np.arange(model.mesh.n_dofs), model.fixed_dofs)
 
 
+@lru_cache(maxsize=8)
+def _band_layout(dims, fixed_key):
+    """Free dofs in band order and the scatter maps into LAPACK band storage.
+
+    ``free[p]`` is the global dof at band position p.  ``pos`` maps each
+    element dof to its band position, or to the spare slot ``free.size``
+    for a fixed dof.  ``band_index`` sends the upper-triangle entries
+    ``ke[pairs]`` of every element into the flattened column-major upper
+    band of half-width ``width``, or to a spare slot past its end.
+    """
+    # Number the nodes with the longest axis outermost (ties keep x
+    # before y before z) and the components innermost: neighbouring
+    # nodes then lie at most one slab of the shorter axes apart, which
+    # bounds the band half-width.  A 2-D mesh with nelx >= nely keeps its
+    # natural numbering.
+    ndim = len(dims)
+    fixed = np.frombuffer(fixed_key, dtype=np.int64)
+    shape = (dims[0] + 1, dims[1] + 1) if ndim == 2 else (dims[2] + 1, dims[0] + 1, dims[1] + 1)
+    grid = np.indices(shape).reshape(ndim, -1)        # node ids in C order
+    coord = grid if ndim == 2 else grid[[1, 2, 0]]    # per axis x, y(, z)
+    outer_first = sorted(range(ndim), key=lambda a: -dims[a])
+    nodes = np.lexsort([coord[a] for a in reversed(outer_first)])
+    order = (ndim * nodes[:, None] + np.arange(ndim)).ravel()
+    is_fixed = np.zeros(order.size, dtype=bool)
+    is_fixed[fixed] = True
+    free = order[~is_fixed[order]]
+    n = free.size
+    where = np.full(order.size, n, dtype=np.int64)
+    where[free] = np.arange(n)
+    pos = where[element_dof_map(dims)]
+    a, b = np.triu_indices(pos.shape[1])
+    pa, pb = pos[:, a], pos[:, b]
+    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
+    both = hi < n
+    width = int((hi - lo)[both].max(initial=0))
+    band_index = np.where(both, width + lo - hi + (width + 1) * hi, (width + 1) * n)
+    for arr in (free, pos, a, b, band_index):
+        arr.flags.writeable = False
+    return SimpleNamespace(free=free, pos=pos, pairs=(a, b), band_index=band_index.ravel(),
+                           width=width)
+
+
+def _layout(model):
+    return _band_layout(model.mesh.dims, model.fixed_dofs.astype(np.int64).tobytes())
+
+
+def _stiffness_product(layout, scale, ke, x):
+    """K_ff x element by element, in band order."""
+    n = x.size
+    xe = np.append(x, 0.0)[layout.pos]
+    y = np.bincount(layout.pos.ravel(), (scale[:, None] * (xe @ ke)).ravel(), minlength=n + 1)
+    return y[:n]
+
+
 def solve_equilibrium(model, rho, penal=1.0, strict=True):
     """Displacement with K(rho) u = f on the free dofs.
 
-    Sparse LU factorization with iterative refinement; conjugate gradients
-    with a Jacobi preconditioner as fallback.  The relative residual on
+    Banded Cholesky factorization with iterative refinement; conjugate
+    gradients with a Jacobi preconditioner as fallback.  The band layout
+    is built once per mesh and support set.  The relative residual on
     free dofs must reach 1e-10 or :class:`SolverBreakdown` is raised.
 
     ``strict=False`` returns the best-effort solution instead of raising:
@@ -333,42 +397,57 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
     chains whose near-mechanism modes push the attainable residual above
     the target; the caller inspects ``Displacement.residual``.
     """
-    K = assemble(model, rho, penal)
-    free = free_dofs(model)
-    f = model.load
+    scale = _moduli(model, rho, penal)
+    layout = _layout(model)
+    free, width = layout.free, layout.width
+    n = free.size
     u = np.zeros(model.mesh.n_dofs)
-    f_free = f[free]
+    f_free = model.load[free]
     fnorm = float(np.linalg.norm(f_free))
     if fnorm == 0.0:
         return Displacement(u, 0.0)
-    Kff = K[free][:, free].tocsc()
+    ke = _unit_ke(model.mesh, model.material)
+    weights = (scale[:, None] * ke[layout.pairs][None, :]).ravel()
+    band = np.bincount(layout.band_index, weights, minlength=(width + 1) * n + 1)
+    band = band[:-1].reshape((width + 1, n), order="F")
+    diag = band[width].copy()
+
+    def residual(x):
+        return f_free - _stiffness_product(layout, scale, ke, x)
+
     u_free = None
     res = math.inf
     try:
-        lu = spla.splu(Kff)
-        u_free = lu.solve(f_free)
+        # the residual is formed element by element, so the factor may
+        # overwrite the band
+        factor = (cholesky_banded(band, overwrite_ab=True, check_finite=False), False)
+        u_free = cho_solve_banded(factor, f_free, check_finite=False)
         # iterative refinement recovers accuracy lost to the huge
         # solid/ersatz stiffness contrast of nearly binary designs
-        res = float(np.linalg.norm(Kff @ u_free - f_free)) / fnorm
+        r = residual(u_free)
+        res = float(np.linalg.norm(r)) / fnorm
         for _ in range(8):
             if res <= 1e-13:
                 break
-            u_try = u_free + lu.solve(f_free - Kff @ u_free)
-            res_try = float(np.linalg.norm(Kff @ u_try - f_free)) / fnorm
+            u_try = u_free + cho_solve_banded(factor, r, check_finite=False)
+            r_try = residual(u_try)
+            res_try = float(np.linalg.norm(r_try)) / fnorm
             if res_try >= res:
                 break
-            u_free, res = u_try, res_try
-    except RuntimeError:
+            u_free, r, res = u_try, r_try, res_try
+    except np.linalg.LinAlgError:
         u_free = None
     if u_free is not None and (res <= 1e-10 or not strict):
         u[free] = u_free
         return Displacement(u, res)
-    diag = Kff.diagonal()
     if np.any(diag <= 0.0):
         raise SolverBreakdown("stiffness diagonal not positive; system not SPD")
+    Kff = spla.LinearOperator(
+        (n, n), matvec=lambda x: _stiffness_product(layout, scale, ke, x), dtype=float
+    )
     M = sp.diags(1.0 / diag)
     u_cg, info = spla.cg(Kff, f_free, rtol=1e-12, atol=0.0, maxiter=20000, M=M)
-    res_cg = float(np.linalg.norm(Kff @ u_cg - f_free)) / fnorm
+    res_cg = float(np.linalg.norm(residual(u_cg))) / fnorm
     if (info != 0 or res_cg > 1e-10) and strict:
         raise SolverBreakdown(
             f"linear solve residual {res_cg:.3e} exceeds 1e-10 (cg info {info})",

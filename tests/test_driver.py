@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cdtopt
-from cdtopt import fem
+from cdtopt import fem, knapsack
 from cdtopt.driver import (
     CdtConfig,
     MaxOuterExceeded,
@@ -15,7 +15,7 @@ from cdtopt.driver import (
     stored_energy_gains,
     volume_schedule,
 )
-from cdtopt.problems import build_cantilever2d, build_mbb
+from cdtopt.problems import build_cantilever2d, build_cantilever3d, build_mbb
 
 
 def test_volume_schedule_values():
@@ -153,3 +153,12 @@ def test_benchmark_tracing_hooks_reach_the_outer_loop():
     # one solve per outer iteration plus the final one; one knapsack per iteration
     assert nested.count("fem.solve") == rec.outer_iterations + 1
     assert nested.count("knapsack.solve") == rec.outer_iterations
+
+
+@pytest.mark.xfail(raises=knapsack.Unsolved, strict=True, reason=(
+    "ROADMAP open item 2: knapsack.solve raises Unsolved on a near-tie "
+    "margin (a z-mirror pair differing by rounding) it neither perturbs "
+    "nor resolves within its beta cap"))
+def test_cdt_3d_near_tie_mirror_pair_converges():
+    _, _, record = run_cdt(build_cantilever3d(16, 6, 4), CdtConfig(volfrac=0.4, mu=0.97))
+    assert record.converged

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from cdtopt import fem
-from cdtopt.problems import build_cantilever2d, build_mbb
+from cdtopt.driver import CdtConfig, run_cdt
+from cdtopt.problems import build_cantilever2d, build_cantilever3d, build_mbb
 
 
 def q4_quadrature_oracle(nu):
@@ -256,6 +258,73 @@ def test_solver_breakdown_on_unsupported():
     model = fem.StructuralModel(mesh, fem.Material(), np.array([0]), f)
     with pytest.raises(fem.SolverBreakdown):
         fem.solve_equilibrium(model, np.ones(2))
+
+
+@pytest.mark.parametrize("model", [
+    build_cantilever2d(12, 5), build_cantilever2d(5, 12), build_cantilever3d(4, 3, 2),
+], ids=["12x5", "5x12", "4x3x2"])
+@pytest.mark.parametrize("penal", [1.0, 3.0])
+def test_banded_solve_matches_sparse_direct_oracle(model, penal):
+    rng = np.random.default_rng(7)
+    rho = rng.uniform(0.0, 1.0, model.n_elements)
+    disp = fem.solve_equilibrium(model, rho, penal)
+    free = fem.free_dofs(model)
+    K = fem.assemble(model, rho, penal)
+    ref = spla.spsolve(K[free][:, free].tocsc(), model.load[free])
+    assert disp.residual <= 1e-10
+    assert np.linalg.norm(disp.u[free] - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert np.all(np.delete(disp.u, free) == 0.0)
+
+
+def edge_clamped_model(nelx, nely, axis):
+    # both dofs fixed on the edge where the given axis coordinate is 0;
+    # downward load at the opposite corner node (nelx, nely)
+    mesh = fem.Mesh((nelx, nely))
+    i, j = np.indices((nelx + 1, nely + 1)).reshape(2, -1)
+    edge = np.flatnonzero((i, j)[axis] == 0)
+    f = np.zeros(mesh.n_dofs)
+    f[2 * (nelx * (nely + 1) + nely) + 1] = -1.0
+    return fem.StructuralModel(mesh, fem.Material(), np.concatenate([2 * edge, 2 * edge + 1]), f)
+
+
+def test_band_ordering_follows_longest_axis():
+    # the transposed problem gets the same band; numbering x outermost on
+    # the tall mesh would need 2 * (12 + 2) + 1 = 29
+    wide = fem._layout(edge_clamped_model(12, 5, axis=0)).width
+    tall = fem._layout(edge_clamped_model(5, 12, axis=1)).width
+    assert wide == tall == 2 * (5 + 2) + 1
+
+
+def test_cg_fallback_when_cholesky_fails(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    real_cg = fem.spla.cg
+    calls = []
+
+    def counted_cg(*args, **kwargs):
+        calls.append(1)
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "cholesky_banded", broken)
+    monkeypatch.setattr(fem.spla, "cg", counted_cg)
+    model = build_mbb(12, 6)
+    rho = np.random.default_rng(8).uniform(0.5, 1.0, model.n_elements)
+    disp = fem.solve_equilibrium(model, rho)
+    assert len(calls) == 1
+    assert disp.residual <= 1e-10
+
+
+def test_band_layout_built_once_per_model(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_equilibrium must not assemble or re-derive free dofs")
+
+    monkeypatch.setattr(fem, "assemble", forbidden)
+    monkeypatch.setattr(fem, "free_dofs", forbidden)
+    fem._band_layout.cache_clear()
+    _, _, record = run_cdt(build_mbb(16, 6), CdtConfig(volfrac=0.5, mu=0.95))
+    assert record.converged
+    assert fem._band_layout.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
