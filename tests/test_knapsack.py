@@ -65,6 +65,21 @@ def test_cubic_negative_theta_same_root():
     assert kp.sigma_from_theta(-0.7, 5.0) == kp.sigma_from_theta(0.7, 5.0)
 
 
+def test_cubic_float_path_matches_array_path_bitwise(monkeypatch):
+    # tiny instances take the Python-float Newton sweep; its roots must be
+    # the very bits the numpy sweep gives, or small solves would drift
+    rng = np.random.default_rng(1)
+    cases = [(np.abs(10.0 ** rng.uniform(-14, 12, n)), float(10.0 ** rng.uniform(-5, 16)))
+             for n in rng.integers(1, kp._SCALAR_NEWTON_MAX + 1, 500)]
+    cases.append((np.array([1e-14, 2.0]), 1e-300))  # zero slope: numpy path
+    with np.errstate(all="ignore"):
+        floats = [kp._positive_cubic_root(th, b) for th, b in cases]
+        monkeypatch.setattr(kp, "_SCALAR_NEWTON_MAX", -1)
+        arrays = [kp._positive_cubic_root(th, b) for th, b in cases]
+    for a, b in zip(floats, arrays):
+        assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # tau update and dual objectives
 # ---------------------------------------------------------------------------
