@@ -181,7 +181,7 @@ class DualPoint:
     def __post_init__(self):
         object.__setattr__(self, "sigma", _readonly(self.sigma))
         object.__setattr__(self, "tau", float(self.tau))
-        if (self.sigma <= 0.0).any() or not np.isfinite(self.sigma).all():
+        if np.any(self.sigma <= 0.0) or not np.all(np.isfinite(self.sigma)):
             raise InvalidDual("sigma must be strictly positive and finite")
         if not (self.tau >= 0.0 and math.isfinite(self.tau)):
             raise InvalidDual("tau must be finite and nonnegative")
@@ -303,30 +303,6 @@ class BruteForceResult:
 # per-element cubic
 # ---------------------------------------------------------------------------
 
-# below this size the Newton sweep runs on Python floats: per-call numpy
-# overhead dominates tiny instances, and the float operations round exactly
-# as numpy's elementwise ones do, so both paths return the same bits
-_SCALAR_NEWTON_MAX = 16
-
-
-def _newton_scalar(s, t2, inv_b):
-    """_positive_cubic_root's Newton sweep, element by element on floats."""
-    n = len(s)
-    for _ in range(80):
-        done = True
-        for e in range(n):
-            se = s[e]
-            f = se * se * (1.0 + inv_b * se) - t2[e]
-            fp = se * (2.0 + 3.0 * inv_b * se)
-            step = f / fp
-            se = se - step
-            s[e] = se
-            done = done and abs(step) <= 4.5e-16 * se
-        if done:
-            break
-    return s
-
-
 def _positive_cubic_root(theta_abs, beta):
     """Vectorized unique positive root of 2/beta s^3 + s^2 = theta^2.
 
@@ -338,17 +314,12 @@ def _positive_cubic_root(theta_abs, beta):
     t2 = theta_abs * theta_abs
     s = np.minimum(theta_abs, np.cbrt(0.5 * beta * t2))
     inv_b = 2.0 / beta
-    if s.size <= _SCALAR_NEWTON_MAX and np.ndim(inv_b) == 0:
-        try:
-            return np.array(_newton_scalar(s.tolist(), t2.tolist(), inv_b))
-        except ZeroDivisionError:
-            pass  # a zero slope (beta underflow): numpy yields inf/nan instead
     for _ in range(80):
         f = s * s * (1.0 + inv_b * s) - t2
         fp = s * (2.0 + 3.0 * inv_b * s)
         step = f / fp
         s = s - step
-        if (np.abs(step) <= 4.5e-16 * s).all():
+        if np.all(np.abs(step) <= 4.5e-16 * s):
             break
     return s
 
@@ -386,12 +357,12 @@ def tau_update(sigma, instance, V_gamma=None):
     tau = [sum v_e (1 + w_e / sigma_e) - 2 V] / [sum v_e^2 / sigma_e]
     """
     sig = np.asarray(sigma, dtype=float)
-    if (sig <= 0.0).any():
+    if np.any(sig <= 0.0):
         raise InvalidDual("tau_update requires sigma > 0")
     V = instance.V_target if V_gamma is None else float(V_gamma)
     v, w = instance.v, instance.w
-    num = float((v * (1.0 + w / sig)).sum()) - 2.0 * V
-    den = float((v * v / sig).sum())
+    num = float(np.sum(v * (1.0 + w / sig))) - 2.0 * V
+    den = float(np.sum(v * v / sig))
     return max(num / den, 0.0)
 
 
@@ -408,8 +379,8 @@ def dual_objective_beta(point, instance, V_gamma, beta):
         raise ValueError("beta must be positive")
     V = instance.V_target if V_gamma is None else float(V_gamma)
     psi = point.sigma + instance.w - point.tau * instance.v
-    quad = (psi * psi / point.sigma).sum()
-    pen = (point.sigma * point.sigma).sum() / beta
+    quad = np.sum(psi * psi / point.sigma)
+    pen = np.sum(point.sigma * point.sigma) / beta
     return float(-0.25 * (quad + pen) - point.tau * V)
 
 
@@ -446,7 +417,7 @@ def inner_fixed_point(instance, V_gamma, beta, tau0=1.0, omega1=2e-16,
     sigma = None
     for k in range(1, max_iters + 1):
         theta = tau * v - w
-        while (np.abs(theta) <= THETA_TOL).any():
+        while np.any(np.abs(theta) <= THETA_TOL):
             nudges += 1
             if nudges > 8:
                 e = int(np.flatnonzero(np.abs(theta) <= THETA_TOL)[0])

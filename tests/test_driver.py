@@ -155,7 +155,10 @@ def test_benchmark_tracing_hooks_reach_the_outer_loop():
     assert nested.count("knapsack.solve") == rec.outer_iterations
 
 
-@pytest.mark.xfail(raises=knapsack.Unsolved, strict=True, reason=(
+# not strict: which z-mirror pairs round apart depends on the factorization's
+# rounding, so another BLAS may let this size pass; the knapsack-level
+# tests/test_knapsack.py::test_solve_near_tie_margins pins the defect itself
+@pytest.mark.xfail(raises=knapsack.Unsolved, strict=False, reason=(
     "ROADMAP open item 2: knapsack.solve raises Unsolved on a near-tie "
     "margin (a z-mirror pair differing by rounding) it neither perturbs "
     "nor resolves within its beta cap"))

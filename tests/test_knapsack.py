@@ -65,21 +65,6 @@ def test_cubic_negative_theta_same_root():
     assert kp.sigma_from_theta(-0.7, 5.0) == kp.sigma_from_theta(0.7, 5.0)
 
 
-def test_cubic_float_path_matches_array_path_bitwise(monkeypatch):
-    # tiny instances take the Python-float Newton sweep; its roots must be
-    # the very bits the numpy sweep gives, or small solves would drift
-    rng = np.random.default_rng(1)
-    cases = [(np.abs(10.0 ** rng.uniform(-14, 12, n)), float(10.0 ** rng.uniform(-5, 16)))
-             for n in rng.integers(1, kp._SCALAR_NEWTON_MAX + 1, 500)]
-    cases.append((np.array([1e-14, 2.0]), 1e-300))  # zero slope: numpy path
-    with np.errstate(all="ignore"):
-        floats = [kp._positive_cubic_root(th, b) for th, b in cases]
-        monkeypatch.setattr(kp, "_SCALAR_NEWTON_MAX", -1)
-        arrays = [kp._positive_cubic_root(th, b) for th, b in cases]
-    for a, b in zip(floats, arrays):
-        assert a.tobytes() == b.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # tau update and dual objectives
 # ---------------------------------------------------------------------------
@@ -406,6 +391,26 @@ def test_solve_degenerate_perturbs_to_an_optimum():
     bf = kp.brute_force(make([2.0, 2.0], [1.0, 1.0], 1.0))
     assert res.density.support() in bf.optima
     assert res.certificate.gain == bf.objective
+
+
+@pytest.mark.xfail(raises=kp.Unsolved, strict=True, reason=(
+    "ROADMAP open item 2: a margin pair a rounding gap apart is called "
+    "unique, and its critical interval is too narrow to resolve within the "
+    "beta cap, so solve neither perturbs it nor certifies it"))
+def test_solve_near_tie_margins():
+    # the marginal pair of n equal-volume elements differs by a relative gap
+    # of 1e-16..1e-11, as z-mirror pairs do in a 3-D CDT run; 14 of these
+    # 189 instances raise Unsolved, so rounding alone cannot flip the xfail
+    for n in range(4, 13):
+        k = n // 2
+        for gap in 10.0 ** np.linspace(-16.0, -11.0, 21):
+            w = np.arange(n, 0, -1, dtype=float)
+            w[k] = w[k - 1] * (1.0 - gap)
+            inst = make(w, np.full(n, 1.0 / n), k / n)
+            res = kp.solve(inst)
+            shortfall = k * kp.SolveParams().perturb_scale * w.max()
+            assert res.density.volume(inst.v) <= inst.V_target + 1e-12
+            assert res.certificate.gain >= kp.brute_force(inst).objective - shortfall
 
 
 def test_solve_deterministic():
