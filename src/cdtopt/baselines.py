@@ -32,16 +32,22 @@ __all__ = [
 ]
 
 
+# Move limit and damping exponent of the optimality-criteria update, the
+# fixed values of Andreassen et al. 2011, "Efficient topology optimization
+# in MATLAB using 88 lines of code".  The density floor keeps the
+# multiplicative update from freezing an element at zero.
+OC_MOVE = 0.2
+OC_ETA = 0.5
+X_MIN = 1e-3
+
+
 @dataclass(frozen=True)
 class SimpConfig:
     penal: float = 3.0
     rmin: float = 1.5
     ft: int = 1            # 0 = no filter, 1 = sensitivity filter
-    move: float = 0.2
-    eta: float = 0.5       # damping exponent of the OC update
     omega2: float = 1e-2
-    max_iters: int = 500
-    x_min: float = 1e-3
+    max_outer: int = 500
 
     def __post_init__(self):
         if self.penal < 1.0:
@@ -93,7 +99,7 @@ def _filter_matrix(mesh, rmin):
     return H, np.asarray(H.sum(axis=1)).ravel()
 
 
-def _oc_update(x, dc, dv, volfrac, move, eta, x_min):
+def _oc_update(x, dc, dv, volfrac):
     """Optimality-criteria step with bisection on the volume multiplier."""
     l1, l2 = 0.0, 1e9
     xnew = x
@@ -101,9 +107,9 @@ def _oc_update(x, dc, dv, volfrac, move, eta, x_min):
     while (l2 - l1) / (l1 + l2 + 1e-30) > 1e-9:
         bisections += 1
         lmid = 0.5 * (l1 + l2)
-        cand = x * (np.maximum(-dc, 0.0) / (dv * lmid)) ** eta
-        cand = np.clip(cand, x - move, x + move)
-        xnew = np.clip(cand, x_min, 1.0)
+        cand = x * (np.maximum(-dc, 0.0) / (dv * lmid)) ** OC_ETA
+        cand = np.clip(cand, x - OC_MOVE, x + OC_MOVE)
+        xnew = np.clip(cand, X_MIN, 1.0)
         if xnew.mean() > volfrac:
             l1 = lmid
         else:
@@ -128,7 +134,7 @@ def run_simp(model, volfrac, config=None):
     dv = np.ones(n)
     record = RunRecord(method="simp")
     change = math.inf
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, cfg.max_outer + 1):
         t0 = time.perf_counter()
         u = solve_equilibrium(model, x, penal=cfg.penal)
         t1 = time.perf_counter()
@@ -137,7 +143,7 @@ def run_simp(model, volfrac, config=None):
         dc = -cfg.penal * x ** (cfg.penal - 1.0) * (mat.E - mat.E_min) * ce
         if cfg.ft == 1:
             dc = (H @ (x * dc)) / Hs / np.maximum(1e-3, x)
-        xnew, bisections = _oc_update(x, dc, dv, volfrac, cfg.move, cfg.eta, cfg.x_min)
+        xnew, bisections = _oc_update(x, dc, dv, volfrac)
         change = float(np.max(np.abs(xnew - x)))
         t2 = time.perf_counter()
         K = assemble(model, x, penal=cfg.penal)

@@ -21,8 +21,8 @@ import numpy as np
 from . import analytic, knapsack
 from .baselines import METHODS, per_iteration_cost_probe, run_method
 from .driver import DriverError
-from .fem import FemError
-from .problems import ProblemSpec, build_problem
+from .fem import FemError, Material
+from .problems import PROBLEMS
 
 __all__ = [
     "UsageError",
@@ -54,8 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_run(sub):
     p = sub.add_parser("run", help="optimize a benchmark problem")
-    p.add_argument("--problem", choices=("mbb", "cantilever", "cantilever3d"),
-                   default="mbb")
+    p.add_argument("--problem", choices=tuple(PROBLEMS), default="mbb")
     p.add_argument("--nelx", type=int, default=60)
     p.add_argument("--nely", type=int, default=20)
     p.add_argument("--nelz", type=int, default=4)
@@ -251,15 +250,11 @@ def write_runrecord_csv(record, path):
 
 
 def _cmd_run(options):
-    kind = {"mbb": "mbb2d", "cantilever": "cantilever2d",
-            "cantilever3d": "cantilever3d"}[options["problem"]]
-    dims = ((options["nelx"], options["nely"], options["nelz"])
-            if kind == "cantilever3d" else (options["nelx"], options["nely"]))
-    from .fem import Material
-    spec = ProblemSpec(kind=kind, dims=dims, load=options["load"],
-                       material=Material(E=options["E"], nu=options["nu"],
-                                         E_min=options["emin"]))
-    model = build_problem(spec)
+    dims = [options["nelx"], options["nely"]]
+    if options["problem"] == "cantilever3d":
+        dims.append(options["nelz"])
+    material = Material(E=options["E"], nu=options["nu"], E_min=options["emin"])
+    model = PROBLEMS[options["problem"]](*dims, load=options["load"], material=material)
     method = options["method"]
     rho, record = run_method(method, model, options)
     out = _out_dir(options)

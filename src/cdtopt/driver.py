@@ -53,13 +53,10 @@ class CdtConfig:
 
     volfrac: float
     mu: float
-    beta0: float | None = None
     tau0: float = 1.0
     omega1: float = 2e-16
     omega2: float = 1e-2
     max_outer: int = 2000
-    max_inner: int = 1000
-    perturb_scale: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.volfrac <= 1.0:
@@ -70,8 +67,8 @@ class CdtConfig:
             raise ValueError("mu must exceed the volume fraction")
         if not (self.omega1 > 0.0 and self.omega2 > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
 
 
 @dataclass
@@ -196,9 +193,7 @@ def run_cdt(model, config):
 
     def select(w, v, V_g, rho):
         nonlocal tau
-        params = knapsack.SolveParams(beta0=config.beta0, tau0=tau, omega1=config.omega1,
-                                      max_inner=config.max_inner,
-                                      perturb_scale=config.perturb_scale)
+        params = knapsack.SolveParams(tau0=tau, omega1=config.omega1)
         result = knapsack.solve(knapsack.KnapsackInstance(w, v, V_g), params=params)
         cert = result.certificate
         fields = dict(inner_iters=cert.inner_iterations, P_dual=cert.dual_objective_beta,

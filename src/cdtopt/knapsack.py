@@ -74,6 +74,15 @@ __all__ = [
 THETA_TOL = 1e-14
 # Raw recovered densities must sit this close to {0,1} before rounding.
 BINARY_TOL = 1e-6
+# beta escalates from max(1, 10 max(w)) by at most this many doublings.
+BETA_DOUBLINGS = 20
+# Inner iterations per beta before the iteration counts as stalled.
+MAX_INNER = 1000
+# A stall settled to this fraction of the dual value is accepted as converged.
+STALL_REL = 1e-12
+# Breakpoints this close to the critical multiplier, relative to max(w),
+# mark an instance degenerate.
+DEGENERACY_TOL = 1e-9
 
 
 class KnapsackError(Exception):
@@ -273,17 +282,13 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SolveParams:
-    """Tuning knobs for :func:`solve`."""
+    """Options of :func:`solve`: the warm-start multiplier, the inner stop
+    rule and the tie-breaking ramp perturbation."""
 
-    beta0: float | None = None          # default: max(1, 10*max(w))
-    beta_doublings: int = 20
     tau0: float = 1.0
     omega1: float = 2e-16
-    max_inner: int = 1000
     perturb: bool = True
     perturb_scale: float = 1e-8         # relative to max(w)
-    degeneracy_tol: float = 1e-9
-    stall_rel: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -385,7 +390,7 @@ def dual_objective_beta(point, instance, V_gamma, beta):
 
 
 def inner_fixed_point(instance, V_gamma, beta, tau0=1.0, omega1=2e-16,
-                      max_iters=1000, tau_bounds=None):
+                      max_iters=MAX_INNER, tau_bounds=None):
     """Alternate the per-element cubic solve with the tau update.
 
     Stops when the penalized dual value changes by at most ``omega1``.
@@ -528,21 +533,22 @@ def tau_critical(instance, V_gamma=None):
     return TauCritical(t, t, t)
 
 
-def existence_check(instance, tol=1e-9, V_gamma=None):
+def existence_check(instance, V_gamma=None):
     """Flag elements whose breakpoint coincides with the critical multiplier.
 
     A flagged element makes the dual feasible set collapse and the primal
     optimum non-unique; the instance then needs a symmetry-breaking
-    perturbation before the analytic solve applies.  ``tol`` is relative
-    to the gain scale; when the minimizer is an interval of width d, no
-    element farther than d/4 (in multiplier units) from the reported
-    midpoint is flagged, so the interval's own endpoints never trigger.
+    perturbation before the analytic solve applies.  The threshold is
+    DEGENERACY_TOL relative to the gain scale; when the minimizer is an
+    interval of width d, no element farther than d/4 (in multiplier units)
+    from the reported midpoint is flagged, so the interval's own endpoints
+    never trigger.
     """
     tc = tau_critical(instance, V_gamma)
     theta = tc.value * instance.v - instance.w
     w_max = float(instance.w.max())
     scale = w_max if w_max > 0.0 else 1.0
-    thr = np.full(instance.n, tol * scale)
+    thr = np.full(instance.n, DEGENERACY_TOL * scale)
     width = tc.hi - tc.lo
     if math.isfinite(width) and width > 0.0:
         thr = np.minimum(thr, 0.25 * width * instance.v)
@@ -595,6 +601,30 @@ def _trivial_result(instance, rho, tau, budget, beta, perturbed, reason):
     return SolveResult(BinaryDensity(rho), point, cert)
 
 
+def _interior(report):
+    """Middle half of the critical interval: tau bounds that keep every
+    theta decisively signed."""
+    lo, hi = report.interval
+    width = hi - lo
+    return (lo + 0.25 * width, hi - 0.25 * width)
+
+
+def _ramp_perturbed(instance, budget, perturb_scale):
+    """Ramp-perturbed copy of ``instance`` and its interior tau bounds.
+
+    Raises :class:`Unsolved` when the copy is still degenerate.
+    """
+    work = perturb(instance, perturb_scale * (float(instance.w.max()) or 1.0))
+    report = existence_check(work, V_gamma=budget)
+    if not report.unique:
+        raise Unsolved(
+            "instance remains degenerate after ramp perturbation "
+            "(budget not achievable at element granularity)",
+            diagnosis=report,
+        )
+    return work, _interior(report)
+
+
 def solve(instance, V_gamma=None, params=None):
     """Solve the knapsack instance to proven optimality where the dual applies.
 
@@ -608,7 +638,7 @@ def solve(instance, V_gamma=None, params=None):
     budget = effective_budget(instance, V_gamma)
     total = instance.total_volume
     n = instance.n
-    beta0 = p.beta0 if p.beta0 is not None else max(1.0, 10.0 * float(instance.w.max()))
+    beta0 = max(1.0, 10.0 * float(instance.w.max()))
 
     if budget >= total * (1.0 - 1e-12):
         return _trivial_result(instance, np.ones(n), 0.0, budget, beta0, False,
@@ -620,29 +650,20 @@ def solve(instance, V_gamma=None, params=None):
 
     work = instance
     perturbed = False
-    report = existence_check(work, tol=p.degeneracy_tol, V_gamma=budget)
-    if not report.unique:
-        if not p.perturb:
-            raise DegenerateInstance(
-                f"critical multiplier {report.tau_c:g} pins elements "
-                f"{report.degenerate_indices}; multiple optima", report=report
-            )
-        eps = p.perturb_scale * (float(instance.w.max()) or 1.0)
-        work = perturb(instance, eps)
+    report = existence_check(work, V_gamma=budget)
+    if report.unique:
+        bounds = _interior(report)
+    elif p.perturb:
+        work, bounds = _ramp_perturbed(instance, budget, p.perturb_scale)
         perturbed = True
-        report = existence_check(work, tol=p.degeneracy_tol, V_gamma=budget)
-        if not report.unique:
-            raise Unsolved(
-                "instance remains degenerate after ramp perturbation "
-                "(budget not achievable at element granularity)",
-                diagnosis=report,
-            )
+    else:
+        raise DegenerateInstance(
+            f"critical multiplier {report.tau_c:g} pins elements "
+            f"{report.degenerate_indices}; multiple optima", report=report
+        )
 
-    lo, hi = report.interval
-    width = hi - lo
-    bounds = (lo + 0.25 * width, hi - 0.25 * width)
     beta = beta0
-    beta_cap = beta0 * 2.0 ** p.beta_doublings
+    beta_cap = beta0 * 2.0 ** BETA_DOUBLINGS
     tau0 = p.tau0
     last_failure = None
 
@@ -658,28 +679,18 @@ def solve(instance, V_gamma=None, params=None):
 
     while True:
         try:
-            inner = inner_fixed_point(work, budget, beta, tau0, p.omega1,
-                                      p.max_inner, tau_bounds=bounds)
+            inner = inner_fixed_point(work, budget, beta, tau0, p.omega1, tau_bounds=bounds)
         except DegenerateTheta as exc:
-            if p.perturb and not perturbed:
-                eps = p.perturb_scale * (float(instance.w.max()) or 1.0)
-                work = perturb(instance, eps)
-                perturbed = True
-                report = existence_check(work, tol=p.degeneracy_tol, V_gamma=budget)
-                if not report.unique:
-                    raise Unsolved(
-                        "instance remains degenerate after ramp perturbation",
-                        diagnosis=report,
-                    ) from exc
-                lo, hi = report.interval
-                width = hi - lo
-                bounds = (lo + 0.25 * width, hi - 0.25 * width)
-                continue
-            raise Unsolved(
-                f"inner iteration pinned on a breakpoint ({exc})", diagnosis=exc
-            ) from exc
+            if not p.perturb or perturbed:
+                raise Unsolved(
+                    f"inner iteration pinned on a breakpoint ({exc})", diagnosis=exc
+                ) from exc
+            # retry on the perturbed copy at the current beta and tau warm start
+            work, bounds = _ramp_perturbed(instance, budget, p.perturb_scale)
+            perturbed = True
+            continue
         tau0 = inner.point.tau
-        if inner.stalled and inner.last_delta > p.stall_rel * max(1.0, abs(inner.objective)):
+        if inner.stalled and inner.last_delta > STALL_REL * max(1.0, abs(inner.objective)):
             last_failure = f"inner iteration stalled with delta {inner.last_delta:.3e}"
             if not escalate(2.0):
                 break

@@ -7,41 +7,16 @@ dof indices carry over unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .fem import Material, Mesh, StructuralModel
 
 __all__ = [
-    "ProblemSpec",
     "build_mbb",
     "build_cantilever2d",
     "build_cantilever3d",
-    "build_problem",
-    "PROBLEM_KINDS",
+    "PROBLEMS",
 ]
-
-PROBLEM_KINDS = ("mbb2d", "cantilever2d", "cantilever3d")
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Benchmark selection: which domain, how many elements, load size."""
-
-    kind: str
-    dims: tuple
-    load: float = 1.0
-    material: Material = field(default_factory=Material)
-
-    def __post_init__(self):
-        if self.kind not in PROBLEM_KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        need = 3 if self.kind == "cantilever3d" else 2
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if len(dims) != need or any(d < 1 for d in dims):
-            raise ValueError(f"{self.kind} needs {need} positive dims")
 
 
 def build_mbb(nelx, nely, load=1.0, material=None):
@@ -85,10 +60,9 @@ def build_cantilever3d(nelx, nely, nelz, load=1.0, material=None):
     return StructuralModel(mesh, material or Material(), fixed, f)
 
 
-def build_problem(spec):
-    """Construct the StructuralModel described by a ProblemSpec."""
-    if spec.kind == "mbb2d":
-        return build_mbb(*spec.dims, load=spec.load, material=spec.material)
-    if spec.kind == "cantilever2d":
-        return build_cantilever2d(*spec.dims, load=spec.load, material=spec.material)
-    return build_cantilever3d(*spec.dims, load=spec.load, material=spec.material)
+# `cdtopt run --problem` name -> builder(*dims, load=..., material=...)
+PROBLEMS = {
+    "mbb": build_mbb,
+    "cantilever": build_cantilever2d,
+    "cantilever3d": build_cantilever3d,
+}

@@ -20,7 +20,7 @@ from cdtopt.problems import build_cantilever2d, build_mbb
 
 def test_simp_full_volume_all_solid():
     model = build_mbb(12, 4)
-    x, u, rec = run_simp(model, 1.0, SimpConfig(max_iters=60))
+    x, u, rec = run_simp(model, 1.0, SimpConfig(max_outer=60))
     assert np.all(x >= 1.0 - 1e-9)
 
 
@@ -45,7 +45,7 @@ def test_simp_grayness_exceeds_cdt():
 
 def test_simp_nonconvergence_is_reported_not_raised():
     model = build_mbb(16, 6)
-    x, u, rec = run_simp(model, 0.4, SimpConfig(max_iters=3))
+    x, u, rec = run_simp(model, 0.4, SimpConfig(max_outer=3))
     assert rec.converged in (True, False)  # status, never an exception
     assert rec.outer_iterations == 3 or rec.converged
 

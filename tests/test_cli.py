@@ -162,6 +162,14 @@ def test_main_run_writes_outputs(tmp_path):
     assert text.startswith(cli.CSV_HEADER)
 
 
+def test_main_run_max_outer_caps_simp(tmp_path):
+    code = cli.main(["run", "--problem", "mbb", "--nelx", "30", "--nely", "10",
+                     "--method", "simp", "--max-outer", "5", "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "mbb_simp_record.csv").read_text().splitlines()
+    assert len(lines) == 5 + 1  # header + one row per iteration
+
+
 def test_main_usage_error_exit_code():
     assert cli.main(["run", "--volfrac", "1.5"]) == 1
     assert cli.main(["run", "--nope"]) == 1

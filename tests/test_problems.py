@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from cdtopt import fem
+from cdtopt import cli, fem
 from cdtopt.problems import (
-    ProblemSpec,
+    PROBLEMS,
     build_cantilever2d,
     build_cantilever3d,
     build_mbb,
-    build_problem,
 )
 
 
@@ -58,17 +57,21 @@ def test_cantilever3d_small_beam_solvable():
     assert np.isfinite(c) and c > 0.0
 
 
-def test_problem_spec_dispatch():
-    model = build_problem(ProblemSpec(kind="mbb2d", dims=(8, 4)))
-    assert model.mesh.dims == (8, 4)
-    model3 = build_problem(ProblemSpec(kind="cantilever3d", dims=(4, 2, 2)))
-    assert model3.mesh.ndim == 3
+def test_problem_table_dispatch(tmp_path):
+    assert PROBLEMS["mbb"](8, 4).mesh.dims == (8, 4)
+    assert PROBLEMS["cantilever3d"](4, 2, 2).mesh.ndim == 3
+    # every table entry is a `run --problem` choice, built with its own dims
+    for name in PROBLEMS:
+        code = cli.main(["run", "--problem", name, "--nelx", "6", "--nely", "3",
+                         "--nelz", "2", "--volfrac", "1", "--method", "beso",
+                         "--out", str(tmp_path)])
+        assert code == 0
+    assert len(list(tmp_path.glob("cantilever3d_beso_density_z*.pgm"))) == 2
 
 
-def test_problem_spec_validation():
-    with pytest.raises(ValueError):
-        ProblemSpec(kind="bridge", dims=(4, 4))
-    with pytest.raises(ValueError):
-        ProblemSpec(kind="cantilever3d", dims=(4, 4))
+def test_problem_table_validation(capsys):
+    assert cli.main(["run", "--problem", "bridge"]) == 1
+    assert "bridge" in capsys.readouterr().err
+    assert cli.main(["run", "--problem", "mbb", "--nelx", "1", "--nely", "1"]) == 1
     with pytest.raises(ValueError):
         build_mbb(1, 1)
