@@ -64,8 +64,6 @@ def _add_run(sub):
     p.add_argument("--E", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=0.3)
     p.add_argument("--emin", type=float, default=1e-9)
-    p.add_argument("--tau0", type=float, default=1.0)
-    p.add_argument("--omega1", type=float, default=2e-16)
     p.add_argument("--omega2", type=float, default=1e-2)
     p.add_argument("--penal", type=float, default=3.0)
     p.add_argument("--rmin", type=float, default=1.5)

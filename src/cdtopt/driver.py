@@ -53,8 +53,6 @@ class CdtConfig:
 
     volfrac: float
     mu: float
-    tau0: float = 1.0
-    omega1: float = 2e-16
     omega2: float = 1e-2
     max_outer: int = 2000
 
@@ -65,8 +63,8 @@ class CdtConfig:
             raise ValueError("mu must lie in (0, 1)")
         if self.volfrac < 1.0 and self.mu <= self.volfrac:
             raise ValueError("mu must exceed the volume fraction")
-        if not (self.omega1 > 0.0 and self.omega2 > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not self.omega2 > 0.0:
+            raise ValueError("omega2 must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 
@@ -187,16 +185,17 @@ def run_cdt(model, config):
     """Run the alternating dual-knapsack optimization on ``model``.
 
     Returns (BinaryDensity, Displacement at the final layout, RunRecord).
-    Each knapsack solve is warm-started at the previous step's tau.
+    Each knapsack solve keeps the previous step's tau while it stays
+    optimal.  A closed-form solve is one pass: ``inner_iters`` is 1, as for
+    BESO, and ``P_dual`` is the certificate's D_inf.
     """
-    tau = config.tau0
+    tau = knapsack.SolveParams().tau0
 
     def select(w, v, V_g, rho):
         nonlocal tau
-        params = knapsack.SolveParams(tau0=tau, omega1=config.omega1)
+        params = knapsack.SolveParams(tau0=tau)
         result = knapsack.solve(knapsack.KnapsackInstance(w, v, V_g), params=params)
-        cert = result.certificate
-        fields = dict(inner_iters=cert.inner_iterations, P_dual=cert.dual_objective_beta,
+        fields = dict(inner_iters=1, P_dual=result.certificate.dual_objective,
                       tau_start=tau, tau_end=result.point.tau)
         tau = result.point.tau
         return result.density.rho, fields

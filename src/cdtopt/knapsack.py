@@ -5,9 +5,9 @@ The primal problem is
     min { -w.rho : v.rho <= V,  rho in {0,1}^n },   w >= 0, v > 0,
 
 i.e. keep the subset of elements with the largest total gain within a
-volume budget.  Instead of enumerating subsets, the integer constraint is
-relaxed through a penalty parameter ``beta`` and the problem is mapped to
-maximizing the strictly concave dual
+volume budget.  The integer constraint is relaxed through a penalty
+parameter ``beta`` and the problem is mapped to maximizing the strictly
+concave dual
 
     D_beta(sigma, tau) = -1/4 * sum_e [ (sigma_e + w_e - tau*v_e)^2 / sigma_e
                                         + sigma_e^2 / beta ] - tau * V
@@ -16,16 +16,21 @@ over sigma > 0, tau >= 0.  Stationarity decouples per element into the cubic
 
     2/beta * sigma_e^3 + sigma_e^2 = theta_e^2,    theta_e = tau*v_e - w_e,
 
-which has exactly one positive root whenever theta_e != 0, plus a scalar
-update for the volume multiplier tau.  The binary density is recovered as
+plus a scalar update for the volume multiplier tau, and the density is
+recovered as rho_e = (1 - theta_e / sigma_e) / 2.  These finite-beta steps
+(:func:`sigma_from_theta`, :func:`tau_update`, :func:`inner_fixed_point`,
+:func:`recover_density`) are the paper's iteration.
 
-    rho_e = (1 - theta_e / sigma_e) / 2,
+:func:`solve` takes its beta -> inf limit in closed form.  There the cubic
+gives sigma_e = |theta_e| and the dual becomes
 
-which lands within O(sigma_e / beta) of {0,1}; doubling beta until the
-recovery rounds cleanly yields the exact optimizer together with a duality
-certificate.  Uniqueness can be diagnosed up front from the critical
-multiplier tau_c (see :func:`tau_critical`); symmetric (tied) instances are
-broken by a deterministic ramp perturbation.
+    D_inf(tau) = -(tau * V + sum_e max(0, w_e - tau*v_e)),
+
+minus the LP dual of the relaxation (Dantzig 1957).  Any tau strictly
+inside the critical interval (lo, hi) of :func:`tau_critical` makes it
+equal -w.rho of the ratio-greedy selection {w_e / v_e > lo}: a zero-gap
+certificate, with no iteration.  An empty interval (an exact tie at the
+margin) is broken by a deterministic ramp perturbation of the gains.
 """
 
 from __future__ import annotations
@@ -74,15 +79,14 @@ __all__ = [
 THETA_TOL = 1e-14
 # Raw recovered densities must sit this close to {0,1} before rounding.
 BINARY_TOL = 1e-6
-# beta escalates from max(1, 10 max(w)) by at most this many doublings.
-BETA_DOUBLINGS = 20
-# Inner iterations per beta before the iteration counts as stalled.
+# Default cap on the iterations of inner_fixed_point.
 MAX_INNER = 1000
-# A stall settled to this fraction of the dual value is accepted as converged.
-STALL_REL = 1e-12
 # Breakpoints this close to the critical multiplier, relative to max(w),
 # mark an instance degenerate.
 DEGENERACY_TOL = 1e-9
+# A certificate gap |primal - D_inf| above this fraction of |D_inf| fails;
+# rounding of the sums over n elements stays below n * 1.1e-16 of it.
+GAP_RTOL = 1e-9
 
 
 class KnapsackError(Exception):
@@ -122,7 +126,7 @@ class DegenerateInstance(KnapsackError):
 
 
 class Unsolved(KnapsackError):
-    """The dual solve did not certify a binary optimum within the beta cap."""
+    """The dual solve found no certified binary optimum."""
 
     def __init__(self, message, diagnosis=None):
         super().__init__(message)
@@ -268,25 +272,20 @@ class Certificate:
 
     primal_objective: float      # -w.rho on the original gains
     gain: float                  # w.rho on the original gains
-    dual_objective: float        # beta-free dual value at the solution
-    dual_objective_beta: float   # penalized dual value at the solution
-    residual: float              # |primal - penalized dual| on the solved instance
-    beta: float
+    dual_objective: float        # D_inf at the reported tau on the solved instance
+    residual: float              # |primal - D_inf| on the solved instance
     budget: float                # effective budget actually enforced
-    inner_iterations: int
-    converged: bool
-    stalled: bool
     perturbed: bool
     trivial: str | None = None
 
 
 @dataclass(frozen=True)
 class SolveParams:
-    """Options of :func:`solve`: the warm-start multiplier, the inner stop
-    rule and the tie-breaking ramp perturbation."""
+    """Options of :func:`solve`: the multiplier to report when it is
+    optimal (a warm start from the previous solve) and the tie-breaking
+    ramp perturbation."""
 
     tau0: float = 1.0
-    omega1: float = 2e-16
     perturb: bool = True
     perturb_scale: float = 1e-8         # relative to max(w)
 
@@ -390,19 +389,13 @@ def dual_objective_beta(point, instance, V_gamma, beta):
 
 
 def inner_fixed_point(instance, V_gamma, beta, tau0=1.0, omega1=2e-16,
-                      max_iters=MAX_INNER, tau_bounds=None):
+                      max_iters=MAX_INNER):
     """Alternate the per-element cubic solve with the tau update.
 
     Stops when the penalized dual value changes by at most ``omega1``.
     Exact theta_e = 0 hits along the way are escaped by a deterministic
     upward nudge of tau; a persistent hit (symmetric tie pulling tau back
     onto a breakpoint) raises :class:`DegenerateTheta` with the element.
-
-    ``tau_bounds``, when given, confines tau to a closed interval known to
-    contain only optimal multipliers (the interior of the critical
-    interval).  Without it the iteration may creep onto a gain/volume
-    breakpoint, where theta of the marginal element sinks into rounding
-    noise; the clamp keeps every theta decisively signed.
     """
     if tau0 < 0.0:
         raise ValueError("tau0 must be nonnegative")
@@ -412,8 +405,6 @@ def inner_fixed_point(instance, V_gamma, beta, tau0=1.0, omega1=2e-16,
     V = float(V_gamma)
     b = float(beta)
     tau = float(tau0)
-    if tau_bounds is not None:
-        tau = min(max(tau, tau_bounds[0]), tau_bounds[1])
     nudges = 0
     prev_obj = None
     prev_taus = (math.nan, math.nan)
@@ -433,8 +424,6 @@ def inner_fixed_point(instance, V_gamma, beta, tau0=1.0, omega1=2e-16,
             theta = tau * v - w
         sigma = _positive_cubic_root(np.abs(theta), b)
         tau = tau_update(sigma, instance, V)
-        if tau_bounds is not None:
-            tau = min(max(tau, tau_bounds[0]), tau_bounds[1])
         point = DualPoint(sigma, tau)
         obj = dual_objective_beta(point, instance, V, b)
         if not (math.isfinite(obj) and math.isfinite(tau)):
@@ -577,160 +566,78 @@ def perturb(instance, epsilon):
 # orchestration
 # ---------------------------------------------------------------------------
 
-def _trivial_result(instance, rho, tau, budget, beta, perturbed, reason):
-    w = instance.w
-    sigma = np.maximum(np.abs(tau * instance.v - w), 1e-12)
-    point = DualPoint(sigma, tau)
-    gain = float(np.dot(w, rho))
-    dual = dual_objective(point, instance, budget)
-    dual_b = dual_objective_beta(point, instance, budget, beta)
+def _result(instance, work, rho, tau, budget, trivial=None):
+    """Solve result for ``rho`` at multiplier ``tau`` on the solved copy
+    ``work``, certified by D_inf(tau) = -(tau V + sum max(0, w - tau v))."""
+    # sigma = |theta| is the cubic's beta -> inf root; the floor keeps a
+    # tau sitting on a breakpoint a valid dual point
+    theta = tau * work.v - work.w
+    point = DualPoint(np.maximum(np.abs(theta), np.finfo(float).tiny), tau)
+    gain = float(np.dot(instance.w, rho))
+    dual = -(tau * budget + float(np.sum(np.maximum(-theta, 0.0))))
     cert = Certificate(
         primal_objective=-gain,
         gain=gain,
         dual_objective=dual,
-        dual_objective_beta=dual_b,
-        residual=abs(-gain - dual_b),
-        beta=beta,
+        residual=abs(-float(np.dot(work.w, rho)) - dual),
         budget=budget,
-        inner_iterations=0,
-        converged=True,
-        stalled=False,
-        perturbed=perturbed,
-        trivial=reason,
+        perturbed=work is not instance,
+        trivial=trivial,
     )
     return SolveResult(BinaryDensity(rho), point, cert)
-
-
-def _interior(report):
-    """Middle half of the critical interval: tau bounds that keep every
-    theta decisively signed."""
-    lo, hi = report.interval
-    width = hi - lo
-    return (lo + 0.25 * width, hi - 0.25 * width)
-
-
-def _ramp_perturbed(instance, budget, perturb_scale):
-    """Ramp-perturbed copy of ``instance`` and its interior tau bounds.
-
-    Raises :class:`Unsolved` when the copy is still degenerate.
-    """
-    work = perturb(instance, perturb_scale * (float(instance.w.max()) or 1.0))
-    report = existence_check(work, V_gamma=budget)
-    if not report.unique:
-        raise Unsolved(
-            "instance remains degenerate after ramp perturbation "
-            "(budget not achievable at element granularity)",
-            diagnosis=report,
-        )
-    return work, _interior(report)
 
 
 def solve(instance, V_gamma=None, params=None):
     """Solve the knapsack instance to proven optimality where the dual applies.
 
-    Orchestrates: budget snapping to element granularity, the uniqueness
-    diagnosis (with deterministic ramp perturbation of ties), the inner
-    dual iteration, binary recovery, and beta escalation on rounding or
-    certificate failure.  The certificate's primal objective refers to the
-    original gains even when a perturbed copy was solved.
+    Snaps the budget to element granularity, takes the critical interval
+    (lo, hi) from :func:`tau_critical` and keeps every element with
+    ratio w_e / v_e > lo.  The reported tau is ``params.tau0`` when it lies
+    strictly inside the interval, else the interval's own value; D_inf at
+    that tau certifies the selection.  An empty interval is an exact tie at
+    the margin: with ``perturb`` the ramp-perturbed copy is solved instead
+    (and must have an interval, or :class:`Unsolved` is raised), without it
+    :class:`DegenerateInstance` is raised.  The certificate's primal
+    objective refers to the original gains even when a perturbed copy was
+    solved.
     """
     p = params or SolveParams()
     budget = effective_budget(instance, V_gamma)
-    total = instance.total_volume
     n = instance.n
-    beta0 = max(1.0, 10.0 * float(instance.w.max()))
 
-    if budget >= total * (1.0 - 1e-12):
-        return _trivial_result(instance, np.ones(n), 0.0, budget, beta0, False,
-                               "budget admits every element")
+    if budget >= instance.total_volume * (1.0 - 1e-12):
+        return _result(instance, instance, np.ones(n), 0.0, budget,
+                       "budget admits every element")
     if budget < float(np.min(instance.v)) * (1.0 - 1e-12):
         tau = 1.0 + 2.0 * float(np.max(instance.ratios()))
-        return _trivial_result(instance, np.zeros(n), tau, budget, beta0, False,
-                               "budget admits no element")
+        return _result(instance, instance, np.zeros(n), tau, budget,
+                       "budget admits no element")
 
     work = instance
-    perturbed = False
-    report = existence_check(work, V_gamma=budget)
-    if report.unique:
-        bounds = _interior(report)
-    elif p.perturb:
-        work, bounds = _ramp_perturbed(instance, budget, p.perturb_scale)
-        perturbed = True
-    else:
-        raise DegenerateInstance(
-            f"critical multiplier {report.tau_c:g} pins elements "
-            f"{report.degenerate_indices}; multiple optima", report=report
-        )
-
-    beta = beta0
-    beta_cap = beta0 * 2.0 ** BETA_DOUBLINGS
-    tau0 = p.tau0
-    last_failure = None
-
-    def escalate(factor):
-        # escalate by whole doublings; the factor is what the measured
-        # deviation says is missing, never less than one doubling
-        nonlocal beta
-        if beta >= beta_cap:
-            return False
-        doublings = max(1, math.ceil(math.log2(max(factor, 2.0))))
-        beta = min(beta * 2.0 ** doublings, beta_cap)
-        return True
-
-    while True:
-        try:
-            inner = inner_fixed_point(work, budget, beta, tau0, p.omega1, tau_bounds=bounds)
-        except DegenerateTheta as exc:
-            if not p.perturb or perturbed:
-                raise Unsolved(
-                    f"inner iteration pinned on a breakpoint ({exc})", diagnosis=exc
-                ) from exc
-            # retry on the perturbed copy at the current beta and tau warm start
-            work, bounds = _ramp_perturbed(instance, budget, p.perturb_scale)
-            perturbed = True
-            continue
-        tau0 = inner.point.tau
-        if inner.stalled and inner.last_delta > STALL_REL * max(1.0, abs(inner.objective)):
-            last_failure = f"inner iteration stalled with delta {inner.last_delta:.3e}"
-            if not escalate(2.0):
-                break
-            continue
-        try:
-            density = recover_density(inner.point, work)
-        except NotBinary as exc:
-            last_failure = f"recovery off binary by {exc.max_deviation:.3e}"
-            if not escalate(2.0 * exc.max_deviation / BINARY_TOL):
-                break
-            continue
-        gain = float(np.dot(instance.w, density.rho))
-        work_gain = float(np.dot(work.w, density.rho))
-        dual_b = dual_objective_beta(inner.point, work, budget, beta)
-        residual = abs(-work_gain - dual_b)
-        sig2 = float(np.sum(inner.point.sigma ** 2))
-        slack = 1e-8 * max(1.0, abs(work_gain))
-        if residual > sig2 / (4.0 * beta) + slack:
-            last_failure = f"duality residual {residual:.3e} above certificate bound"
-            if not escalate(residual / (sig2 / (4.0 * beta) + slack)):
-                break
-            continue
-        cert = Certificate(
-            primal_objective=-gain,
-            gain=gain,
-            dual_objective=dual_objective(inner.point, work, budget),
-            dual_objective_beta=dual_b,
-            residual=residual,
-            beta=beta,
-            budget=budget,
-            inner_iterations=inner.iterations,
-            converged=inner.converged,
-            stalled=inner.stalled,
-            perturbed=perturbed,
-        )
-        return SolveResult(density, inner.point, cert)
-    raise Unsolved(
-        f"no certified binary solution up to beta = {beta:g}: {last_failure}",
-        diagnosis=last_failure,
-    )
+    tc = tau_critical(work, budget)
+    if not tc.is_interval:
+        if not p.perturb:
+            raise DegenerateInstance(
+                f"critical multiplier {tc.value:g} is the ratio of a tie at the "
+                "margin; multiple optima", report=tc
+            )
+        work = perturb(instance, p.perturb_scale * (float(instance.w.max()) or 1.0))
+        tc = tau_critical(work, budget)
+        if not tc.is_interval:
+            raise Unsolved(
+                "instance remains degenerate after ramp perturbation "
+                "(the LP relaxation has a fractional optimum)", diagnosis=tc
+            )
+    # the kept set is read off the interval, not off the sign of theta: the
+    # midpoint of a one-ulp interval can round onto an endpoint
+    rho = np.where(work.ratios() > tc.lo, 1.0, 0.0)
+    tau = p.tau0 if tc.lo < p.tau0 < tc.hi else tc.value
+    result = _result(instance, work, rho, tau, budget)
+    cert = result.certificate
+    if cert.residual > GAP_RTOL * abs(cert.dual_objective):
+        raise Unsolved(f"certificate gap {cert.residual:.3e} at tau = {tau:g}",
+                       diagnosis=cert)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ def test_parse_run_defaults_and_flags():
     o = inv.options
     assert (o["nelx"], o["nely"], o["volfrac"], o["mu"]) == (60, 20, 0.4, 0.97)
     assert o["E"] == 1.0 and o["nu"] == 0.3 and o["emin"] == 1e-9
-    assert o["tau0"] == 1.0 and o["omega1"] == 2e-16 and o["omega2"] == 1e-2
+    assert o["omega2"] == 1e-2
+    assert "tau0" not in o and "omega1" not in o
 
 
 def test_parse_rejects_bad_volfrac():
@@ -53,6 +54,15 @@ def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume = 0.3\n")
     with pytest.raises(cli.UsageError):
+        cli.parse_cli(["run", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("key", ["tau0", "omega1"])
+def test_config_file_rejects_removed_knapsack_keys(tmp_path, key):
+    # the closed-form selection has no warm start or inner stop rule to set
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 1.0\n")
+    with pytest.raises(cli.UsageError, match=key):
         cli.parse_cli(["run", "--config", str(cfg)])
 
 
@@ -168,6 +178,16 @@ def test_main_run_max_outer_caps_simp(tmp_path):
     assert code == 0
     lines = (tmp_path / "mbb_simp_record.csv").read_text().splitlines()
     assert len(lines) == 5 + 1  # header + one row per iteration
+
+
+def test_main_run_cdt_small_load_matches_beso(tmp_path):
+    # the selection has no absolute tolerance: gains ~1e-10 select as at load 1
+    args = ["run", "--problem", "cantilever", "--nelx", "30", "--nely", "10",
+            "--volfrac", "0.5", "--load", "1e-5", "--out", str(tmp_path)]
+    assert cli.main(args + ["--method", "cdt"]) == 0
+    assert cli.main(args + ["--method", "beso"]) == 0
+    cdt = (tmp_path / "cantilever_cdt_density.pgm").read_bytes()
+    assert cdt == (tmp_path / "cantilever_beso_density.pgm").read_bytes()
 
 
 def test_main_usage_error_exit_code():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cdtopt
-from cdtopt import fem, knapsack
+from cdtopt import fem
 from cdtopt.driver import (
     CdtConfig,
     MaxOuterExceeded,
@@ -155,13 +155,15 @@ def test_benchmark_tracing_hooks_reach_the_outer_loop():
     assert nested.count("knapsack.solve") == rec.outer_iterations
 
 
-# not strict: which z-mirror pairs round apart depends on the factorization's
-# rounding, so another BLAS may let this size pass; the knapsack-level
-# tests/test_knapsack.py::test_solve_near_tie_margins pins the defect itself
-@pytest.mark.xfail(raises=knapsack.Unsolved, strict=False, reason=(
-    "ROADMAP open item 2: knapsack.solve raises Unsolved on a near-tie "
-    "margin (a z-mirror pair differing by rounding) it neither perturbs "
-    "nor resolves within its beta cap"))
 def test_cdt_3d_near_tie_mirror_pair_converges():
+    # z-mirror pairs differ by rounding only; their margin is a near-tie
     _, _, record = run_cdt(build_cantilever3d(16, 6, 4), CdtConfig(volfrac=0.4, mu=0.97))
     assert record.converged
+
+
+def test_cdt_3d_ladder_case_matches_reference():
+    # the ladder case cantilever3d 24x8x4; reference from the SuperLU-era run
+    _, _, record = run_cdt(build_cantilever3d(24, 8, 4), CdtConfig(volfrac=0.4, mu=0.97))
+    assert record.converged
+    assert record.outer_iterations == 32
+    assert record.final_compliance == pytest.approx(26.5434089081, rel=1e-10)

@@ -353,6 +353,11 @@ def test_solve_matches_brute_force_randomly():
         assert res.density.support() in bf.optima
 
 
+def d_inf(inst, tau, budget):
+    # beta -> inf dual at sigma = |theta|: minus the LP dual of the relaxation
+    return -(tau * budget + float(np.sum(np.maximum(inst.w - tau * inst.v, 0.0))))
+
+
 def test_solve_strong_duality_certificate():
     rng = np.random.default_rng(9)
     for _ in range(25):
@@ -361,10 +366,25 @@ def test_solve_strong_duality_certificate():
         res = kp.solve(inst)
         cert = res.certificate
         assert not cert.perturbed
-        bound = float(np.sum(res.point.sigma**2)) / (4.0 * cert.beta) + 1e-8
-        assert cert.residual <= bound
-        assert abs(cert.primal_objective - cert.dual_objective) <= \
-            1e-6 * max(1.0, abs(cert.primal_objective))
+        tau, budget = res.point.tau, cert.budget
+        assert cert.dual_objective == pytest.approx(d_inf(inst, tau, budget), rel=1e-15)
+        assert cert.residual == abs(cert.primal_objective - cert.dual_objective)
+        assert cert.residual <= 1e-15 * abs(cert.dual_objective)
+        # weak duality: D_inf at any tau >= 0 bounds -w.rho from below
+        for t in np.linspace(0.0, 2.0 * float(inst.ratios().max()), 50):
+            assert d_inf(inst, t, budget) <= \
+                cert.primal_objective + 1e-14 * abs(cert.primal_objective)
+
+
+def test_solve_reports_tau0_only_inside_the_critical_interval():
+    inst = make([0.7, 0.2, 0.9, 0.4], np.full(4, 0.25), 0.5)
+    tc = kp.tau_critical(inst)
+    assert (tc.lo, tc.hi) == (1.6, 2.8)
+    assert kp.solve(inst, params=kp.SolveParams(tau0=2.0)).point.tau == 2.0
+    for tau0 in (tc.lo, tc.hi, 0.5, 5.0):
+        res = kp.solve(inst, params=kp.SolveParams(tau0=tau0))
+        assert res.point.tau == tc.value
+        assert res.density.support() == (0, 2)
 
 
 def test_solve_complementarity_and_budget():
@@ -380,6 +400,15 @@ def test_solve_complementarity_and_budget():
             assert abs(res.density.volume(v) - inst.V_target) <= float(v.max()) + 1e-12
 
 
+def test_solve_certificate_rejects_a_wrong_interval(monkeypatch):
+    # a critical interval one ratio too low keeps three elements where the
+    # budget admits two: the D_inf gap exposes it
+    inst = make([0.7, 0.2, 0.9, 0.4], np.full(4, 0.25), 0.5)
+    monkeypatch.setattr(kp, "tau_critical", lambda *a: kp.TauCritical(1.2, 0.8, 1.6))
+    with pytest.raises(kp.Unsolved, match="certificate gap"):
+        kp.solve(inst)
+
+
 def test_solve_degenerate_raises_without_perturbation():
     with pytest.raises(kp.DegenerateInstance):
         kp.solve(make([2.0, 2.0], [1.0, 1.0], 1.0), params=kp.SolveParams(perturb=False))
@@ -393,14 +422,9 @@ def test_solve_degenerate_perturbs_to_an_optimum():
     assert res.certificate.gain == bf.objective
 
 
-@pytest.mark.xfail(raises=kp.Unsolved, strict=True, reason=(
-    "ROADMAP open item 2: a margin pair a rounding gap apart is called "
-    "unique, and its critical interval is too narrow to resolve within the "
-    "beta cap, so solve neither perturbs it nor certifies it"))
 def test_solve_near_tie_margins():
     # the marginal pair of n equal-volume elements differs by a relative gap
-    # of 1e-16..1e-11, as z-mirror pairs do in a 3-D CDT run; 14 of these
-    # 189 instances raise Unsolved, so rounding alone cannot flip the xfail
+    # of 1e-16..1e-11, as z-mirror pairs do in a 3-D CDT run
     for n in range(4, 13):
         k = n // 2
         for gap in 10.0 ** np.linspace(-16.0, -11.0, 21):
@@ -413,10 +437,6 @@ def test_solve_near_tie_margins():
             assert res.certificate.gain >= kp.brute_force(inst).objective - shortfall
 
 
-@pytest.mark.xfail(raises=kp.Unsolved, strict=True, reason=(
-    "ROADMAP open item 2: absolute tolerances (the beta0 floor of 1, omega1 "
-    "and THETA_TOL) make solve depend on the gain scale; this instance "
-    "solves at scales 1e6 down to 1e-12 and raises Unsolved at 1e-13"))
 def test_solve_invariant_under_gain_scaling():
     rng = np.random.default_rng(0)
     w = rng.lognormal(0.0, 1.0, 20)
@@ -425,63 +445,14 @@ def test_solve_invariant_under_gain_scaling():
     assert kp.solve(make(w * 1e-14, v, 0.5)).density.support() == support
 
 
-def _raise_degenerate_theta(monkeypatch, times):
-    """Make the first ``times`` inner iterations of solve raise
-    DegenerateTheta; returns the (beta, tau0) of every inner call."""
-    real = kp.inner_fixed_point
-    calls = []
-
-    def pinned(instance, V_gamma, beta, tau0, *args, **kwargs):
-        calls.append((beta, tau0))
-        if len(calls) <= times:
-            raise kp.DegenerateTheta("tau is pinned on a breakpoint", element=0)
-        return real(instance, V_gamma, beta, tau0, *args, **kwargs)
-
-    monkeypatch.setattr(kp, "inner_fixed_point", pinned)
-    return calls
-
-
-def _unique_instance():
-    rng = np.random.default_rng(5)
-    return make(rng.uniform(0.1, 1.0, 8), np.full(8, 1.0 / 8), 0.5)
-
-
-def test_solve_perturbs_when_the_inner_iteration_hits_a_breakpoint(monkeypatch):
-    inst = _unique_instance()
-    assert not kp.solve(inst).certificate.perturbed
-    calls = _raise_degenerate_theta(monkeypatch, 1)
-    params = kp.SolveParams(tau0=0.3)
-    res = kp.solve(inst, params=params)
-    cert = res.certificate
-    assert cert.perturbed and cert.trivial is None
-    # the retry on the perturbed copy keeps beta and the tau warm start
-    assert calls[1] == calls[0] == (max(1.0, 10.0 * inst.w.max()), 0.3)
-    k = kp.affordable_count(inst.v, inst.V_target)
-    shortfall = k * params.perturb_scale * inst.w.max()
-    assert res.density.volume(inst.v) <= inst.V_target + 1e-12
-    assert cert.gain >= kp.brute_force(inst).objective - shortfall
-
-
-def test_solve_breakpoint_hit_without_perturbation_is_unsolved(monkeypatch):
-    _raise_degenerate_theta(monkeypatch, 1)
-    with pytest.raises(kp.Unsolved, match="pinned on a breakpoint"):
-        kp.solve(_unique_instance(), params=kp.SolveParams(perturb=False))
-
-
-def test_solve_breakpoint_hit_after_perturbing_is_unsolved(monkeypatch):
-    calls = _raise_degenerate_theta(monkeypatch, 2)
-    with pytest.raises(kp.Unsolved, match="pinned on a breakpoint"):
-        kp.solve(_unique_instance())
-    assert len(calls) == 2
-
-
 def test_solve_deterministic():
     inst = make([0.7, 0.2, 0.9, 0.4], np.full(4, 0.25), 0.5)
     a = kp.solve(inst)
     b = kp.solve(inst)
     assert np.array_equal(a.density.rho, b.density.rho)
     assert a.point.tau == b.point.tau
-    assert a.certificate.dual_objective_beta == b.certificate.dual_objective_beta
+    assert a.certificate == b.certificate
+    assert a.certificate.residual <= 1e-15 * abs(a.certificate.dual_objective)
 
 
 # ---------------------------------------------------------------------------
