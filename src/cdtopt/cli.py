@@ -129,29 +129,20 @@ def parse_cli(argv):
     _add_demo(sub)
     _add_probe(sub)
 
-    # config-file values replace defaults; flags that differ from their
-    # default were given explicitly and win over the file
+    # config-file values replace the subcommand's defaults, then argv is
+    # parsed again so that every flag given explicitly wins
     ns = parser.parse_args(argv)
     if getattr(ns, "config", None):
-        file_values = _read_config(ns.config)
-        base = vars(parser.parse_args([ns.subcommand]))
-        merged = dict(base)
-        for key, raw in file_values.items():
-            if key not in merged:
+        chosen = sub.choices[ns.subcommand]
+        defaults = _read_config(ns.config)
+        for key, raw in defaults.items():
+            if key not in vars(ns):
                 raise UsageError(f"unknown config key {key!r}")
-            current = merged[key]
-            if isinstance(current, bool):
-                merged[key] = raw.lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int):
-                merged[key] = int(raw)
-            elif isinstance(current, float):
-                merged[key] = float(raw)
-            else:
-                merged[key] = raw
-        for key, value in vars(ns).items():
-            if key not in base or value != base[key]:
-                merged[key] = value
-        ns = argparse.Namespace(**merged)
+            # argparse converts string defaults with each flag's type
+            if isinstance(chosen.get_default(key), bool):
+                defaults[key] = raw.lower() in ("1", "true", "yes", "on")
+        chosen.set_defaults(**defaults)
+        ns = parser.parse_args(argv)
 
     opts = vars(ns).copy()
     cmd = opts.pop("subcommand")

@@ -29,7 +29,6 @@ __all__ = [
     "RunRecord",
     "volume_schedule",
     "stored_energy_gains",
-    "primal_upper_objective",
     "outer_loop",
     "run_cdt",
 ]
@@ -82,9 +81,7 @@ class IterationRecord:
     P_dual: float
     elapsed_ms: float
     V_gamma: float = math.nan
-    tau_start: float = math.nan
     tau_end: float = math.nan
-    upper_objective: float = math.nan
     fem_ms: float = 0.0
     update_ms: float = 0.0
 
@@ -124,12 +121,6 @@ def stored_energy_gains(model, rho, u):
     return element_energies(model, rho, u) * scale
 
 
-def primal_upper_objective(rho, u, f, w):
-    """Selection objective f.u - w.rho at the given state."""
-    uvec = u.u if hasattr(u, "u") else np.asarray(u, dtype=float)
-    return float(np.dot(np.asarray(f, float), uvec) - np.dot(w, np.asarray(rho, float)))
-
-
 def outer_loop(model, volfrac, config, method, select):
     """Shared outer loop of CDT and BESO, from the fully solid design.
 
@@ -161,7 +152,6 @@ def outer_loop(model, volfrac, config, method, select):
             P_u=-gain,
             elapsed_ms=(t2 - t0) * 1e3,
             V_gamma=V_g,
-            upper_objective=primal_upper_objective(rho_new, u, model.load, w),
             fem_ms=(t1 - t0) * 1e3,
             update_ms=(t2 - t1) * 1e3,
             **fields,
@@ -195,9 +185,8 @@ def run_cdt(model, config):
         nonlocal tau
         params = knapsack.SolveParams(tau0=tau)
         result = knapsack.solve(knapsack.KnapsackInstance(w, v, V_g), params=params)
-        fields = dict(inner_iters=1, P_dual=result.certificate.dual_objective,
-                      tau_start=tau, tau_end=result.point.tau)
         tau = result.point.tau
-        return result.density.rho, fields
+        return result.density.rho, dict(
+            inner_iters=1, P_dual=result.certificate.dual_objective, tau_end=tau)
 
     return outer_loop(model, config.volfrac, config, "cdt", select)

@@ -79,12 +79,6 @@ class Mesh:
         return len(self.dims)
 
     @property
-    def element_size(self):
-        # unit squares/cubes; volumes are normalized separately so the
-        # design domain always totals one
-        return 1.0
-
-    @property
     def n_elements(self):
         return int(np.prod(self.dims))
 

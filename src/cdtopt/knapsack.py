@@ -81,9 +81,6 @@ THETA_TOL = 1e-14
 BINARY_TOL = 1e-6
 # Default cap on the iterations of inner_fixed_point.
 MAX_INNER = 1000
-# Breakpoints this close to the critical multiplier, relative to max(w),
-# mark an instance degenerate.
-DEGENERACY_TOL = 1e-9
 # A certificate gap |primal - D_inf| above this fraction of |D_inf| fails;
 # rounding of the sums over n elements stays below n * 1.1e-16 of it.
 GAP_RTOL = 1e-9
@@ -523,31 +520,21 @@ def tau_critical(instance, V_gamma=None):
 
 
 def existence_check(instance, V_gamma=None):
-    """Flag elements whose breakpoint coincides with the critical multiplier.
+    """Uniqueness report from the critical interval that :func:`solve` uses.
 
-    A flagged element makes the dual feasible set collapse and the primal
-    optimum non-unique; the instance then needs a symmetry-breaking
-    perturbation before the analytic solve applies.  The threshold is
-    DEGENERACY_TOL relative to the gain scale; when the minimizer is an
-    interval of width d, no element farther than d/4 (in multiplier units)
-    from the reported midpoint is flagged, so the interval's own endpoints
-    never trigger.
+    An open interval makes the ratio-greedy selection the unique optimum.
+    Without one, the elements whose ratio equals the critical multiplier
+    tie at the margin; the instance then needs a symmetry-breaking
+    perturbation before the analytic solve applies.
     """
     tc = tau_critical(instance, V_gamma)
-    theta = tc.value * instance.v - instance.w
-    w_max = float(instance.w.max())
-    scale = w_max if w_max > 0.0 else 1.0
-    thr = np.full(instance.n, DEGENERACY_TOL * scale)
-    width = tc.hi - tc.lo
-    if math.isfinite(width) and width > 0.0:
-        thr = np.minimum(thr, 0.25 * width * instance.v)
-    thr = np.maximum(thr, 1e-15 * scale)
-    degenerate = tuple(int(i) for i in np.flatnonzero(np.abs(theta) <= thr))
+    degenerate = () if tc.is_interval else tuple(
+        int(i) for i in np.flatnonzero(instance.ratios() == tc.value))
     return ExistenceReport(
         tau_c=tc.value,
         interval=(tc.lo, tc.hi),
         degenerate_indices=degenerate,
-        unique=len(degenerate) == 0,
+        unique=tc.is_interval,
     )
 
 

@@ -33,6 +33,15 @@ def test_simp_gray_fraction_positive_and_volume_active():
     assert np.all((x >= 1e-3) & (x <= 1.0))
 
 
+def test_simp_strain_energy_column_equals_compliance():
+    # energy identity at equilibrium: 1/2 u.K(x)u = 1/2 f.u on every row
+    model = build_mbb(30, 10)
+    _, _, rec = run_simp(model, 0.5, SimpConfig())
+    assert rec.rows
+    for r in rec.rows:
+        assert abs(r.strain_energy - r.compliance) <= 1e-8 * r.compliance
+
+
 def test_simp_grayness_exceeds_cdt():
     model = build_cantilever2d(20, 8)
     x, _, _ = run_simp(model, 0.5, SimpConfig())

@@ -44,10 +44,20 @@ def test_parse_demo_double_well():
 def test_config_file_seeds_defaults_and_flags_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("volfrac = 0.3\nnelx = 12  # comment\nmu = 0.92\n")
-    inv = cli.parse_cli(["run", "--config", str(cfg), "--mu", "0.95"])
-    assert inv.options["volfrac"] == 0.3
-    assert inv.options["nelx"] == 12
-    assert inv.options["mu"] == 0.95  # explicit flag wins
+    for mu in ("0.95", "0.97"):  # 0.97 repeats the flag's default
+        inv = cli.parse_cli(["run", "--config", str(cfg), "--mu", mu])
+        assert inv.options["volfrac"] == 0.3
+        assert inv.options["nelx"] == 12
+        assert inv.options["mu"] == float(mu)  # explicit flag wins
+
+
+def test_config_file_seeds_demo_options(tmp_path):
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text("epsilon = 0.1\nno-perturb = yes\n")
+    inv = cli.parse_cli(["demo", "--name", "buridan", "--config", str(cfg)])
+    assert inv.options["name"] == "buridan"
+    assert inv.options["epsilon"] == 0.1
+    assert inv.options["no_perturb"] is True
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -195,9 +205,9 @@ def test_main_usage_error_exit_code():
     assert cli.main(["run", "--nope"]) == 1
 
 
-def test_main_solver_error_exit_code():
+def test_main_solver_error_exit_code(tmp_path):
     assert cli.main(["demo", "--name", "truss", "--epsilon", "0",
-                     "--no-perturb"]) == 2
+                     "--no-perturb", "--out", str(tmp_path)]) == 2
 
 
 def test_main_demo_double_well(tmp_path, capsys):
