@@ -17,12 +17,11 @@ from scipy.spatial import cKDTree
 from . import knapsack
 from .driver import CdtConfig, IterationRecord, RunRecord, outer_loop, run_cdt
 # assemble stays bound: the benchmark's tracer wraps baselines.assemble by name
-from .fem import assemble, compliance, element_energies, solve_equilibrium  # noqa: F401
+from .fem import assemble, compliance, element_energies, moduli, solve_equilibrium  # noqa: F401
 from .problems import build_cantilever2d
 
 __all__ = [
     "SimpConfig",
-    "BesoConfig",
     "CostRow",
     "run_simp",
     "run_beso",
@@ -57,17 +56,6 @@ class SimpConfig:
             raise ValueError("rmin must be >= 1")
         if self.ft not in (0, 1):
             raise ValueError("ft must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class BesoConfig:
-    mu: float
-    omega2: float = 1e-2
-    max_outer: int = 2000
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
 
 
 def _element_centroids(mesh):
@@ -139,7 +127,7 @@ def run_simp(model, volfrac, config=None):
         t0 = time.perf_counter()
         u = solve_equilibrium(model, x, penal=cfg.penal)
         t1 = time.perf_counter()
-        w = element_energies(model, x, u)       # full-modulus gains
+        w = element_energies(model, u)          # full-modulus gains
         ce = 2.0 * w / mat.E                    # unit-modulus u_e.K_e u_e
         dc = -cfg.penal * x ** (cfg.penal - 1.0) * (mat.E - mat.E_min) * ce
         if cfg.ft == 1:
@@ -147,7 +135,7 @@ def run_simp(model, volfrac, config=None):
         xnew, bisections = _oc_update(x, dc, dv, volfrac)
         change = float(np.max(np.abs(xnew - x)))
         t2 = time.perf_counter()
-        E_x = mat.E_min + (mat.E - mat.E_min) * x ** cfg.penal  # 1/2 u.K(x)u = E_x.w / E
+        E_x = moduli(model, x, cfg.penal)       # 1/2 u.K(x)u = E_x.w / E
         record.rows.append(IterationRecord(
             gamma=it,
             inner_iters=bisections,
@@ -182,25 +170,23 @@ def beso_select(w, v, budget, current):
     return rho
 
 
-def run_beso(model, volfrac, config):
+def run_beso(model, config):
     """Greedy evolutionary baseline on the shared volume schedule.
 
-    The outer loop, schedule and stop rule of the dual-knapsack driver,
-    with :func:`beso_select` as the selection step.
+    The outer loop, :class:`CdtConfig`, schedule and stop rule of the
+    dual-knapsack driver, with :func:`beso_select` as the selection step.
     """
-    if not 0.0 < volfrac <= 1.0:
-        raise ValueError("volfrac must lie in (0, 1]")
 
     def select(w, v, V_g, rho):
         return beso_select(w, v, V_g, rho), {"inner_iters": 1, "P_dual": math.nan}
 
-    return outer_loop(model, volfrac, config, "beso", select)
+    return outer_loop(model, config, "beso", select)
 
 
 # method name -> (config class, run(model, volfrac, config))
 METHODS = {
     "cdt": (CdtConfig, lambda model, volfrac, config: run_cdt(model, config)),
-    "beso": (BesoConfig, run_beso),
+    "beso": (CdtConfig, lambda model, volfrac, config: run_beso(model, config)),
     "simp": (SimpConfig, run_simp),
 }
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -122,39 +123,34 @@ def _read_config(path):
 
 
 def parse_cli(argv):
-    """Parse argv into a typed invocation; raises UsageError on bad input."""
+    """Parse argv into a typed invocation; raises UsageError on bad input.
+    Value ranges are left to the configs, problem builders and Mesh."""
     parser = _Parser(prog="cdtopt", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     _add_run(sub)
     _add_demo(sub)
     _add_probe(sub)
 
-    # config-file values replace the subcommand's defaults, then argv is
-    # parsed again so that every flag given explicitly wins
+    # config-file values become flags placed before the explicit ones, so
+    # that argparse converts and checks them and every explicit flag wins
     ns = parser.parse_args(argv)
     if getattr(ns, "config", None):
         chosen = sub.choices[ns.subcommand]
-        defaults = _read_config(ns.config)
-        for key, raw in defaults.items():
-            if key not in vars(ns):
+        flags = {a.dest: a.option_strings[0] for a in chosen._actions if a.dest != "help"}
+        seeded = []
+        for key, raw in _read_config(ns.config).items():
+            if key not in flags:
                 raise UsageError(f"unknown config key {key!r}")
-            # argparse converts string defaults with each flag's type
-            if isinstance(chosen.get_default(key), bool):
-                defaults[key] = raw.lower() in ("1", "true", "yes", "on")
-        chosen.set_defaults(**defaults)
-        ns = parser.parse_args(argv)
+            if not isinstance(chosen.get_default(key), bool):
+                seeded.append(f"{flags[key]}={raw}")
+            elif raw.lower() in ("1", "true", "yes", "on"):
+                seeded.append(flags[key])
+        at = argv.index(ns.subcommand) + 1
+        ns = parser.parse_args(argv[:at] + seeded + argv[at:])
 
     opts = vars(ns).copy()
     cmd = opts.pop("subcommand")
-    if cmd == "run":
-        if not 0.0 < opts["volfrac"] <= 1.0:
-            raise UsageError(f"volfrac must lie in (0, 1], got {opts['volfrac']}")
-        if not 0.0 < opts["mu"] < 1.0:
-            raise UsageError(f"mu must lie in (0, 1), got {opts['mu']}")
-        for d in ("nelx", "nely", "nelz"):
-            if opts[d] < 1:
-                raise UsageError(f"{d} must be positive")
-    elif cmd == "probe":
+    if cmd == "probe":
         unknown = [m for m in opts["methods"].split(",") if m not in METHODS]
         if unknown:
             raise UsageError(f"unknown method(s) {unknown}; choose from {list(METHODS)}")
@@ -209,14 +205,15 @@ def read_pgm(path):
     """Read back a P5/P2 graymap written by :func:`write_density_pgm`."""
     with open(path, "rb") as fh:
         data = fh.read()
-    fields = data.split(maxsplit=4)
-    magic, width, height, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
-    if magic == b"P5":
-        img = np.frombuffer(fields[4][:width * height], dtype=np.uint8)
-    elif magic == b"P2":
-        img = np.array(fields[4].split(), dtype=int)
+    # four header fields, then one whitespace byte (a pixel may be another)
+    header = re.match(rb"(P[25])\s+(\d+)\s+(\d+)\s+\d+\s", data)
+    if header is None:
+        raise ValueError(f"not a graymap: {data[:2]!r}")
+    width, height, raster = int(header[2]), int(header[3]), data[header.end():]
+    if header[1] == b"P5":
+        img = np.frombuffer(raster[:width * height], dtype=np.uint8)
     else:
-        raise ValueError(f"not a graymap: {magic!r}")
+        img = np.array(raster.split(), dtype=int)
     return img.reshape(height, width)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import knapsack
-from .fem import compliance, element_energies, solve_equilibrium
+from .fem import compliance, element_energies, moduli, solve_equilibrium
 
 __all__ = [
     "DriverError",
@@ -48,7 +48,7 @@ class MaxOuterExceeded(DriverError):
 
 @dataclass(frozen=True)
 class CdtConfig:
-    """Outer-loop parameters (volume fraction, schedule, tolerances)."""
+    """Outer-loop parameters of CDT and BESO (volume fraction, schedule, stop)."""
 
     volfrac: float
     mu: float
@@ -116,12 +116,10 @@ def stored_energy_gains(model, rho, u):
     gets re-selected over genuine load-path material, and the selection
     churns without settling.
     """
-    mat = model.material
-    scale = (mat.E_min + (mat.E - mat.E_min) * np.asarray(rho, float)) / mat.E
-    return element_energies(model, rho, u) * scale
+    return element_energies(model, u) * (moduli(model, rho, 1.0) / model.material.E)
 
 
-def outer_loop(model, volfrac, config, method, select):
+def outer_loop(model, config, method, select):
     """Shared outer loop of CDT and BESO, from the fully solid design.
 
     Each step solves equilibrium, scores the elements and calls
@@ -138,7 +136,7 @@ def outer_loop(model, volfrac, config, method, select):
         u = solve_equilibrium(model, rho, strict=False)
         t1 = time.perf_counter()
         w = stored_energy_gains(model, rho, u)
-        V_g = volume_schedule(V_g, config.mu, volfrac)
+        V_g = volume_schedule(V_g, config.mu, config.volfrac)
         rho_new, fields = select(w, v, V_g, rho)
         t2 = time.perf_counter()
         gain = float(np.dot(w, rho_new))
@@ -157,7 +155,7 @@ def outer_loop(model, volfrac, config, method, select):
             **fields,
         ))
         rho = rho_new
-        if abs(-gain - P_prev) <= config.omega2 and V_g <= volfrac + 1e-12:
+        if abs(-gain - P_prev) <= config.omega2 and V_g <= config.volfrac + 1e-12:
             break
         P_prev = -gain
     else:
@@ -189,4 +187,4 @@ def run_cdt(model, config):
         return result.density.rho, dict(
             inner_iters=1, P_dual=result.certificate.dual_objective, tau_end=tau)
 
-    return outer_loop(model, config.volfrac, config, "cdt", select)
+    return outer_loop(model, config, "cdt", select)

@@ -41,6 +41,7 @@ __all__ = [
     "element_stiffness_2d",
     "element_stiffness_3d",
     "element_dof_map",
+    "moduli",
     "assemble",
     "free_dofs",
     "solve_equilibrium",
@@ -289,7 +290,7 @@ def _unit_ke(mesh, material):
     return ke
 
 
-def _moduli(model, rho, penal):
+def moduli(model, rho, penal):
     """Element moduli E_min + (E - E_min) rho^penal after checking rho."""
     mesh, mat = model.mesh, model.material
     rho = np.asarray(rho, dtype=float)
@@ -309,7 +310,7 @@ def assemble(model, rho, penal=1.0):
     reduction to free dofs at solve time (no penalty terms).
     """
     mesh = model.mesh
-    scale = _moduli(model, rho, penal)
+    scale = moduli(model, rho, penal)
     ke = _unit_ke(mesh, model.material)
     edof = element_dof_map(mesh.dims)
     m = ke.shape[0]
@@ -391,7 +392,7 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
     chains whose near-mechanism modes push the attainable residual above
     the target; the caller inspects ``Displacement.residual``.
     """
-    scale = _moduli(model, rho, penal)
+    scale = moduli(model, rho, penal)
     layout = _layout(model)
     free, width = layout.free, layout.width
     n = free.size
@@ -451,17 +452,13 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
     return Displacement(u, res_cg)
 
 
-def element_energies(model, rho, u):
+def element_energies(model, u):
     """Per-element gains w_e = 1/2 E u_e . K_e u_e at full modulus.
 
     The gain measures what each element would store under the current
-    displacement field, independent of its present density (``rho`` is
-    accepted for interface symmetry and shape checking only).
+    displacement field, independent of its present density.
     """
     mesh, mat = model.mesh, model.material
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (mesh.n_elements,):
-        raise ValueError("rho length must match the element count")
     uvec = u.u if isinstance(u, Displacement) else np.asarray(u, dtype=float)
     ke = _unit_ke(mesh, mat)
     ue = uvec[element_dof_map(mesh.dims)]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cdtopt import analytic, fem, knapsack
-from cdtopt.baselines import BesoConfig, SimpConfig, beso_select, \
+from cdtopt.baselines import SimpConfig, beso_select, \
     per_iteration_cost_probe, run_beso, run_simp
 from cdtopt.driver import CdtConfig, run_cdt, stored_energy_gains, volume_schedule
 from cdtopt.problems import build_cantilever2d, build_cantilever3d, build_mbb
@@ -178,7 +178,7 @@ def test_criterion_9_method_comparison():
     model = build_cantilever2d(40, 16)
     n = model.n_elements
     v = model.mesh.element_volumes()
-    db, ub, rb = run_beso(model, 0.5, BesoConfig(mu=0.97))
+    db, ub, rb = run_beso(model, CdtConfig(volfrac=0.5, mu=0.97))
     xs, us, rs = run_simp(model, 0.5, SimpConfig())
     dc, uc, rc = run_cdt(model, CdtConfig(volfrac=0.5, mu=0.97))
     ok = bool(np.all((db.rho == 0.0) | (db.rho == 1.0)))

@@ -3,7 +3,6 @@ import pytest
 
 from cdtopt import fem, knapsack
 from cdtopt.baselines import (
-    BesoConfig,
     SimpConfig,
     beso_select,
     per_iteration_cost_probe,
@@ -74,7 +73,7 @@ def test_simp_config_validation():
 
 def test_beso_full_volume_all_solid():
     model = build_mbb(12, 4)
-    dens, u, rec = run_beso(model, 1.0, BesoConfig(mu=0.9))
+    dens, u, rec = run_beso(model, CdtConfig(volfrac=1.0, mu=0.9))
     assert np.all(dens.rho == 1.0)
 
 
@@ -100,7 +99,7 @@ def test_beso_select_tie_break_prefers_solid_then_low_index():
 
 def test_beso_binary_and_budget_feasible():
     model = build_cantilever2d(20, 8)
-    dens, u, rec = run_beso(model, 0.5, BesoConfig(mu=0.95))
+    dens, u, rec = run_beso(model, CdtConfig(volfrac=0.5, mu=0.95))
     assert np.all((dens.rho == 0.0) | (dens.rho == 1.0))
     assert dens.rho.mean() <= 0.5 + 1e-12
     assert rec.converged
@@ -110,7 +109,7 @@ def test_beso_strain_energy_close_to_cdt():
     # with equal element volumes the exact knapsack keeps the greedy top-k
     # subset, so both selectors drive the shared loop through the same run
     model = build_cantilever2d(60, 20)
-    db, ub, rb = run_beso(model, 0.5, BesoConfig(mu=0.97))
+    db, ub, rb = run_beso(model, CdtConfig(volfrac=0.5, mu=0.97))
     dc, uc, rc = run_cdt(model, CdtConfig(volfrac=0.5, mu=0.97))
     assert np.array_equal(db.rho, dc.rho)
     assert rb.outer_iterations == rc.outer_iterations
@@ -120,11 +119,6 @@ def test_beso_strain_energy_close_to_cdt():
         return (r.volume, r.compliance, r.strain_energy, r.P_u)
 
     assert [fields(r) for r in rb.rows] == [fields(r) for r in rc.rows]
-
-
-def test_beso_config_validation():
-    with pytest.raises(ValueError):
-        BesoConfig(mu=1.0)
 
 
 # ---------------------------------------------------------------------------

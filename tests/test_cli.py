@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from cdtopt import cli, fem
+from cdtopt import cli, driver, fem
+from cdtopt.baselines import METHODS
 from cdtopt.driver import IterationRecord, RunRecord
 
 
@@ -24,9 +25,26 @@ def test_parse_run_defaults_and_flags():
     assert "tau0" not in o and "omega1" not in o
 
 
-def test_parse_rejects_bad_volfrac():
-    with pytest.raises(cli.UsageError):
-        cli.parse_cli(["run", "--volfrac", "1.5"])
+@pytest.mark.parametrize("method", list(METHODS))
+@pytest.mark.parametrize("bad", [["--volfrac", "1.5"], ["--nelx", "0"]], ids=["volfrac", "nelx"])
+def test_main_rejects_out_of_range_run_values(tmp_path, method, bad):
+    # parse_cli only converts; the config, run_simp or Mesh rejects the value
+    assert cli.main(["run", "--method", method, *bad, "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("method", ["cdt", "beso"])
+@pytest.mark.parametrize("bad", [["--max-outer", "0"], ["--omega2", "-1"], ["--mu", "1.2"],
+                                 ["--mu", "0.3", "--volfrac", "0.4"]],
+                         ids=["max_outer", "omega2", "mu", "mu_below_volfrac"])
+def test_main_rejects_bad_outer_loop_config_before_iterating(
+        tmp_path, monkeypatch, method, bad):
+    # CDT and BESO share CdtConfig, so both refuse these before a solve
+    monkeypatch.setattr(driver, "solve_equilibrium",
+                        lambda *a, **k: pytest.fail("an outer iteration ran"))
+    args = ["run", "--method", method, "--nelx", "12", "--nely", "4", *bad]
+    assert cli.main(args + ["--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_parse_rejects_unknown_flag():
@@ -67,6 +85,16 @@ def test_config_file_unknown_key(tmp_path):
         cli.parse_cli(["run", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("line", ["method = bogus", "problem = bogus", "nelx = 1.5"])
+def test_config_file_values_are_checked_as_flags(tmp_path, line):
+    # argparse converts a file's values and checks them against choices
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(cli.UsageError, match="bogus|1.5"):
+        cli.parse_cli(["run", "--config", str(cfg)])
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
 @pytest.mark.parametrize("key", ["tau0", "omega1"])
 def test_config_file_rejects_removed_knapsack_keys(tmp_path, key):
     # the closed-form selection has no warm start or inner stop rule to set
@@ -102,14 +130,18 @@ def test_pgm_checkerboard(tmp_path):
 
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    rho = (rng.uniform(size=12) < 0.5).astype(float)
-    mesh = fem.Mesh((4, 3))
-    path = tmp_path / "rt.pgm"
-    cli.write_density_pgm(rho, mesh, str(path))
-    img = cli.read_pgm(str(path))
-    assert img.shape == (3, 4)
-    recovered = 1.0 - img.T.reshape(-1) / 255.0
-    assert np.array_equal(recovered, rho)
+    cases = [
+        ((4, 3), (rng.uniform(size=12) < 0.5).astype(float)),
+        # gray levels that are whitespace bytes, the first pixel among them
+        ((4, 2), 1.0 - np.array([32, 9, 10, 11, 12, 13, 0, 255]) / 255.0),
+    ]
+    for dims, rho in cases:
+        path = tmp_path / "rt.pgm"
+        cli.write_density_pgm(rho, fem.Mesh(dims), str(path))
+        img = cli.read_pgm(str(path))
+        assert img.shape == dims[::-1]
+        recovered = 1.0 - img.T.reshape(-1) / 255.0
+        assert np.array_equal(recovered, rho)
 
 
 def test_pgm_ascii_variant(tmp_path):

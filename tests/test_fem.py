@@ -226,7 +226,7 @@ def test_patch_test_constant_strain():
             err = max(err, abs(u.u[2 * node] - ux), abs(u.u[2 * node + 1] - uy))
     assert err < 1e-10
     # element strains are constant: every element stores the same energy
-    w = fem.element_energies(model, np.ones(model.n_elements), u)
+    w = fem.element_energies(model, u)
     assert np.abs(w - w[0]).max() < 1e-12
 
 
@@ -333,15 +333,14 @@ def test_band_layout_built_once_per_model(monkeypatch):
 
 def test_element_energies_zero_displacement():
     model = small_model()
-    w = fem.element_energies(model, np.ones(model.n_elements),
-                             np.zeros(model.mesh.n_dofs))
+    w = fem.element_energies(model, np.zeros(model.mesh.n_dofs))
     assert np.all(w == 0.0)
 
 
 def test_element_energies_patch_closed_form():
     model = uniaxial_patch_model(1, 1)
     u = fem.solve_equilibrium(model, np.ones(1))
-    w = fem.element_energies(model, np.ones(1), u)
+    w = fem.element_energies(model, u)
     # uniaxial stress sigma = 1 on a unit element: energy = sigma^2/(2E)
     assert w[0] == pytest.approx(0.5, rel=1e-10)
 
@@ -355,7 +354,7 @@ def test_element_energies_total_matches_strain_energy():
     rho[:10] = 1.0
     rho[-10:] = 1.0
     u = fem.solve_equilibrium(model, rho, strict=False)
-    w = fem.element_energies(model, rho, u)
+    w = fem.element_energies(model, u)
     total = fem.strain_energy(u, fem.assemble(model, rho))
     assert abs(float(np.dot(rho, w)) - total) <= 1e-6 * abs(total)
 
