@@ -47,7 +47,7 @@ class SimpConfig:
     rmin: float = 1.5
     ft: int = 1            # 0 = no filter, 1 = sensitivity filter
     omega2: float = 1e-2
-    max_outer: int = 500
+    max_outer: int = 2000
 
     def __post_init__(self):
         if self.penal < 1.0:
@@ -56,6 +56,10 @@ class SimpConfig:
             raise ValueError("rmin must be >= 1")
         if self.ft not in (0, 1):
             raise ValueError("ft must be 0 or 1")
+        if not self.omega2 > 0.0:
+            raise ValueError("omega2 must be positive")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
 
 
 def _element_centroids(mesh):

@@ -10,7 +10,6 @@ config file can seed any flag; explicit flags win.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import re
@@ -217,22 +216,23 @@ def read_pgm(path):
     return img.reshape(height, width)
 
 
-def write_runrecord_csv(record, path):
-    """One row per outer iteration, 12 significant digits, LF newlines."""
+def _write_csv(path, header, rows):
+    """One line per row, floats to 12 significant digits, LF newlines."""
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in record.rows:
-                fields = [
-                    str(r.gamma), str(r.inner_iters),
-                    f"{r.volume:.12g}", f"{r.compliance:.12g}",
-                    f"{r.strain_energy:.12g}", f"{r.P_u:.12g}",
-                    f"{r.P_dual:.12g}", f"{r.elapsed_ms:.12g}",
-                ]
-                fh.write(",".join(fields) + "\n")
+            for row in [header, *rows]:
+                fh.write(",".join(f"{x:.12g}" if isinstance(x, float) else str(x)
+                                  for x in row) + "\n")
     except OSError as exc:
-        raise OSError(f"cannot write record {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def write_runrecord_csv(record, path):
+    """One row per outer iteration (see :data:`CSV_HEADER`)."""
+    return _write_csv(path, CSV_HEADER.split(","), (
+        [r.gamma, r.inner_iters, r.volume, r.compliance, r.strain_energy, r.P_u,
+         r.P_dual, r.elapsed_ms] for r in record.rows))
 
 
 def _cmd_run(options):
@@ -273,25 +273,17 @@ def _cmd_demo(options):
         res = analytic.simp_counterexample(options["a"], options["b"],
                                            p=options["p"],
                                            grid_resolution=options["resolution"])
-        path = os.path.join(out, "simp_surface.csv")
-        with open(path, "w", newline="") as fh:
-            wtr = csv.writer(fh, lineterminator="\n")
-            wtr.writerow(["rho1", "rho2", "value"])
-            for r1, r2, val in res.grid:
-                wtr.writerow([f"{r1:.12g}", f"{r2:.12g}", f"{val:.12g}"])
+        path = _write_csv(os.path.join(out, "simp_surface.csv"),
+                          ["rho1", "rho2", "value"], res.grid)
         print(f"boundary argmin {res.argmin} minima {res.minima} -> {path}")
     else:
         spec = analytic.DoubleWellSpec(beta=options["beta"], lam=options["lam"],
                                        f=(options["f"],))
         res = analytic.double_well_triality(spec)
-        path = os.path.join(out, "double_well_roots.csv")
-        with open(path, "w", newline="") as fh:
-            wtr = csv.writer(fh, lineterminator="\n")
-            wtr.writerow(["varsigma", "x", "potential", "dual_potential", "kind"])
-            for root in res.roots:
-                wtr.writerow([f"{root.varsigma:.12g}", f"{root.x[0]:.12g}",
-                              f"{root.potential:.12g}",
-                              f"{root.dual_potential:.12g}", root.kind])
+        _write_csv(os.path.join(out, "double_well_roots.csv"),
+                   ["varsigma", "x", "potential", "dual_potential", "kind"],
+                   ([root.varsigma, root.x[0], root.potential, root.dual_potential,
+                     root.kind] for root in res.roots))
         for root in res.roots:
             print(f"varsigma {root.varsigma:+.6g} x {root.x[0]:+.6g} "
                   f"potential {root.potential:+.6g} [{root.kind}]")
@@ -309,15 +301,11 @@ def _cmd_probe(options):
     rows = per_iteration_cost_probe(sizes, volfrac=options["volfrac"],
                                     mu=options["mu"], methods=methods)
     out = _out_dir(options)
-    path = os.path.join(out, "cost_probe.csv")
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh, lineterminator="\n")
-        wtr.writerow(["method", "nelx", "nely", "n_elements", "outer_iters",
-                      "total_s", "fem_s", "update_s"])
-        for r in rows:
-            wtr.writerow([r.method, r.nelx, r.nely, r.n_elements, r.outer_iters,
-                          f"{r.total_s:.12g}", f"{r.fem_s:.12g}",
-                          f"{r.update_s:.12g}"])
+    path = _write_csv(os.path.join(out, "cost_probe.csv"),
+                      ["method", "nelx", "nely", "n_elements", "outer_iters",
+                       "total_s", "fem_s", "update_s"],
+                      ([r.method, r.nelx, r.nely, r.n_elements, r.outer_iters,
+                        r.total_s, r.fem_s, r.update_s] for r in rows))
     for r in rows:
         print(f"{r.method} {r.nelx}x{r.nely}: {r.outer_iters} iters "
               f"{r.total_s:.3f}s")

@@ -555,13 +555,13 @@ def perturb(instance, epsilon):
 
 def _result(instance, work, rho, tau, budget, trivial=None):
     """Solve result for ``rho`` at multiplier ``tau`` on the solved copy
-    ``work``, certified by D_inf(tau) = -(tau V + sum max(0, w - tau v))."""
+    ``work``, certified by the penalty-free dual at sigma = |theta|, which
+    is D_inf(tau) = -(tau V + sum max(0, w - tau v))."""
     # sigma = |theta| is the cubic's beta -> inf root; the floor keeps a
     # tau sitting on a breakpoint a valid dual point
-    theta = tau * work.v - work.w
-    point = DualPoint(np.maximum(np.abs(theta), np.finfo(float).tiny), tau)
+    point = DualPoint(np.maximum(np.abs(tau * work.v - work.w), np.finfo(float).tiny), tau)
     gain = float(np.dot(instance.w, rho))
-    dual = -(tau * budget + float(np.sum(np.maximum(-theta, 0.0))))
+    dual = dual_objective(point, work, budget)
     cert = Certificate(
         primal_objective=-gain,
         gain=gain,

@@ -65,6 +65,10 @@ def test_simp_config_validation():
         SimpConfig(rmin=0.5)
     with pytest.raises(ValueError):
         SimpConfig(ft=3)
+    with pytest.raises(ValueError):
+        SimpConfig(omega2=-1.0)
+    with pytest.raises(ValueError):
+        SimpConfig(max_outer=0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cdtopt import cli, driver, fem
+from cdtopt import baselines, cli, driver, fem
 from cdtopt.baselines import METHODS
 from cdtopt.driver import IterationRecord, RunRecord
 
@@ -33,15 +33,22 @@ def test_main_rejects_out_of_range_run_values(tmp_path, method, bad):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("method", ["cdt", "beso"])
-@pytest.mark.parametrize("bad", [["--max-outer", "0"], ["--omega2", "-1"], ["--mu", "1.2"],
-                                 ["--mu", "0.3", "--volfrac", "0.4"]],
-                         ids=["max_outer", "omega2", "mu", "mu_below_volfrac"])
+OUTER_LOOP_BAD = {"max_outer": ["--max-outer", "0"], "omega2": ["--omega2", "-1"],
+                  "mu": ["--mu", "1.2"], "mu_below_volfrac": ["--mu", "0.3", "--volfrac", "0.4"]}
+
+
+@pytest.mark.parametrize("method,bad", [
+    pytest.param(method, bad, id=f"{name}-{method}")
+    for name, bad in OUTER_LOOP_BAD.items()
+    for method in ("beso", "cdt", "simp") if method != "simp" or not name.startswith("mu")
+])
 def test_main_rejects_bad_outer_loop_config_before_iterating(
         tmp_path, monkeypatch, method, bad):
-    # CDT and BESO share CdtConfig, so both refuse these before a solve
-    monkeypatch.setattr(driver, "solve_equilibrium",
-                        lambda *a, **k: pytest.fail("an outer iteration ran"))
+    # CDT and BESO share CdtConfig, so both refuse these before a solve;
+    # SimpConfig refuses the two that SIMP reads (it has no schedule)
+    for module in (driver, baselines):
+        monkeypatch.setattr(module, "solve_equilibrium",
+                            lambda *a, **k: pytest.fail("an outer iteration ran"))
     args = ["run", "--method", method, "--nelx", "12", "--nely", "4", *bad]
     assert cli.main(args + ["--out", str(tmp_path)]) == 1
     assert not list(tmp_path.iterdir())

@@ -250,12 +250,13 @@ def test_equilibrium_residual_invariant():
         assert u.residual <= 1e-10
 
 
-def test_solver_breakdown_on_unsupported():
+def test_solver_breakdown_on_unsupported(monkeypatch):
     # every dof free except one: singular reduced system
     mesh = fem.Mesh((2, 1))
     f = np.zeros(mesh.n_dofs)
     f[3] = -1.0
     model = fem.StructuralModel(mesh, fem.Material(), np.array([0]), f)
+    monkeypatch.setattr(fem.spla, "cg", lambda *a, **k: pytest.fail("CG ran"))
     with pytest.raises(fem.SolverBreakdown):
         fem.solve_equilibrium(model, np.ones(2))
 
@@ -295,24 +296,33 @@ def test_band_ordering_follows_longest_axis():
     assert wide == tall == 2 * (5 + 2) + 1
 
 
-def test_cg_fallback_when_cholesky_fails(monkeypatch):
+def test_failed_factor_raises_without_cg(monkeypatch):
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
-    real_cg = fem.spla.cg
-    calls = []
-
-    def counted_cg(*args, **kwargs):
-        calls.append(1)
-        return real_cg(*args, **kwargs)
-
     monkeypatch.setattr(fem, "cholesky_banded", broken)
-    monkeypatch.setattr(fem.spla, "cg", counted_cg)
+    monkeypatch.setattr(fem.spla, "cg", lambda *a, **k: pytest.fail("CG ran"))
     model = build_mbb(12, 6)
     rho = np.random.default_rng(8).uniform(0.5, 1.0, model.n_elements)
-    disp = fem.solve_equilibrium(model, rho)
-    assert len(calls) == 1
-    assert disp.residual <= 1e-10
+    for strict in (True, False):
+        with pytest.raises(fem.SolverBreakdown, match="factor failed"):
+            fem.solve_equilibrium(model, rho, strict=strict)
+
+
+def test_strict_solve_raises_with_the_refined_residual(monkeypatch):
+    # a transient CDT design (cantilever 16x6, vf 0.5, mu 0.95, step 12)
+    # whose refined residual misses 1e-10
+    model = build_cantilever2d(16, 6)
+    rho = np.ones(model.n_elements)
+    rho[[2, 3, 8, 9, 14, 15, 20, 27, 31, 33, 37, 38, 44, 46, 49, 51, 55, 56, 58, 61, 63,
+         64, 68, 69, 70, 72, 74, 75, 76, 78, 79, 81, 82, 84, 85, 86, 88, 89, 90, 91, 92,
+         93]] = 0.0
+    monkeypatch.setattr(fem.spla, "cg", lambda *a, **k: pytest.fail("CG ran"))
+    disp = fem.solve_equilibrium(model, rho, strict=False)
+    assert 1e-10 < disp.residual < 1e-6
+    with pytest.raises(fem.SolverBreakdown) as info:
+        fem.solve_equilibrium(model, rho)
+    assert info.value.residual == disp.residual
 
 
 def test_band_layout_built_once_per_model(monkeypatch):
