@@ -29,8 +29,10 @@ gives sigma_e = |theta_e| and the dual becomes
 minus the LP dual of the relaxation (Dantzig 1957).  Any tau strictly
 inside the critical interval (lo, hi) of :func:`tau_critical` makes it
 equal -w.rho of the ratio-greedy selection {w_e / v_e > lo}: a zero-gap
-certificate, with no iteration.  An empty interval (an exact tie at the
-margin) is broken by a deterministic ramp perturbation of the gains.
+certificate, with no iteration.  For equal volumes the interval is a
+pair of order statistics, selected in O(n) (Balas & Zemel 1980).  An
+empty interval (an exact tie at the margin) is broken by a deterministic
+ramp perturbation of the gains.
 """
 
 from __future__ import annotations
@@ -495,28 +497,38 @@ def tau_critical(instance, V_gamma=None):
     gain/volume ratios; its slope on a ratio-free segment is
     2 * (volume of elements priced out - (total - V)).  The minimizer is
     either a single breakpoint or a whole segment; for a segment the
-    midpoint is reported along with the segment itself.
+    midpoint is reported along with the segment itself.  With equal
+    volumes the snapped budget prices out k whole elements, so the ends
+    are the k-th and (k+1)-th smallest ratios, found by one selection in
+    O(n); unequal volumes sort.  Scaling v and V together changes nothing.
     """
     V = effective_budget(instance, V_gamma)
-    v, w = instance.v, instance.w
-    total = instance.total_volume
-    target = total - V
-    vol_tol = 1e-9 * max(total, 1.0)
-    order = np.argsort(w / v, kind="stable")
-    r_sorted = (w / v)[order]
-    csum = np.concatenate([[0.0], np.cumsum(v[order])])
-    # largest k with cumulative priced-out volume <= target
-    k = int(np.searchsorted(csum, target + vol_tol, side="right")) - 1
-    if abs(csum[k] - target) <= vol_tol:
+    v, n = instance.v, instance.n
+    r = instance.ratios()
+    if instance.equal_volumes():
+        k = n - affordable_count(v, V)
+        r_part = np.partition(r, [max(k - 1, 0), min(k, n - 1)])
+        lo = float(r_part[k - 1]) if k > 0 else 0.0
+        hi = float(r_part[k]) if k < n else math.inf
+    else:
+        total = instance.total_volume
+        target = total - V
+        vol_tol = 1e-9 * total
+        order = np.argsort(r, kind="stable")
+        r_sorted = r[order]
+        csum = np.concatenate([[0.0], np.cumsum(v[order])])
+        # largest k with cumulative priced-out volume <= target
+        k = int(np.searchsorted(csum, target + vol_tol, side="right")) - 1
+        if abs(csum[k] - target) > vol_tol:
+            # target falls strictly inside element k's volume: kink at its ratio
+            t = float(r_sorted[k])
+            return TauCritical(t, t, t)
         lo = float(r_sorted[k - 1]) if k > 0 else 0.0
-        hi = float(r_sorted[k]) if k < instance.n else math.inf
-        if hi > lo:
-            value = 0.5 * (lo + hi) if math.isfinite(hi) else lo + max(1.0, lo)
-            return TauCritical(value, lo, hi)
-        return TauCritical(lo, lo, lo)
-    # target falls strictly inside element k's volume: kink at its ratio
-    t = float(r_sorted[k])
-    return TauCritical(t, t, t)
+        hi = float(r_sorted[k]) if k < n else math.inf
+    if hi > lo:
+        value = 0.5 * (lo + hi) if math.isfinite(hi) else lo + max(1.0, lo)
+        return TauCritical(value, lo, hi)
+    return TauCritical(lo, lo, lo)
 
 
 def existence_check(instance, V_gamma=None):
@@ -646,7 +658,7 @@ def brute_force(instance):
     if n > 25:
         raise TooLarge(f"n = {n} exceeds the enumeration limit of 25")
     w, v = instance.w, instance.v
-    V = instance.V_target + 1e-9 * max(instance.total_volume, 1.0)
+    V = instance.V_target + 1e-9 * instance.total_volume
     low = min(n, 16)
     T = _bits16()[: 1 << low, :low]
     gains_low = T @ w[:low]

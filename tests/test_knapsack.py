@@ -443,6 +443,18 @@ def test_solve_invariant_under_gain_scaling():
     assert kp.solve(make(w * 1e-14, v, 0.5)).density.support() == support
 
 
+@pytest.mark.parametrize("w, v, V, support", [
+    ([3.0, 2.0, 1.0], [1.0, 1.0, 1.0], 1.5, (0,)),
+    ([3.0, 2.0, 0.5], [1.0, 2.0, 1.0], 3.0, (0, 1)),
+], ids=["equal", "unequal"])
+def test_solve_invariant_under_volume_scaling(w, v, V, support):
+    # an absolute volume tolerance swamps an element of volume 1e-9
+    for scale in (1.0, 1e-9, 1e-12, 1e3):
+        res = kp.solve(make(w, np.multiply(v, scale), V * scale))
+        assert res.density.support() == support
+        assert not res.certificate.perturbed
+
+
 def test_solve_deterministic():
     inst = make([0.7, 0.2, 0.9, 0.4], np.full(4, 0.25), 0.5)
     a = kp.solve(inst)
@@ -472,6 +484,13 @@ def test_brute_force_empty_budget():
     bf = kp.brute_force(make([1.0, 1.0], [1.0, 1.0], 1e-9))
     assert bf.objective == 0.0
     assert bf.optima == ((),)
+
+
+def test_brute_force_invariant_under_volume_scaling():
+    for scale in (1.0, 1e-9, 1e-12):
+        bf = kp.brute_force(make([3.0, 2.0, 1.0], np.full(3, scale), 1.5 * scale))
+        assert bf.optima == ((0,),)
+        assert bf.objective == 3.0
 
 
 def test_brute_force_too_large():

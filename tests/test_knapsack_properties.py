@@ -1,9 +1,11 @@
-"""Property tests of knapsack.solve on equal-volume instances.
+"""Property tests of knapsack.solve and knapsack.tau_critical.
 
-The gains are built from a few levels, each element taking a level
-exactly (ties), one ulp above or below it (near-ties), or zero.  Greedy
-top-k is the exact oracle for equal volumes; the finite-beta iteration
-is the reference that the closed-form solve is the limit of.
+The equal-volume gains are built from a few levels, each element taking
+a level exactly (ties), one ulp above or below it (near-ties), or zero.
+Greedy top-k is the exact oracle for equal volumes, a stable full sort
+of the ratios is the oracle of the critical interval, and the
+finite-beta iteration is the reference that the closed-form solve is the
+limit of.  Volume scaling is checked on equal and unequal volumes.
 """
 
 import numpy as np
@@ -108,3 +110,62 @@ def test_finite_beta_iteration_agrees_with_closed_form(inst):
     inner = kp.inner_fixed_point(inst, kp.effective_budget(inst), beta, tau0=tau0)
     density = kp.recover_density(inner.point, inst)
     assert density.support() == kp.solve(inst).density.support()
+
+
+def volume_scaled(inst, k):
+    return kp.KnapsackInstance(inst.w, inst.v * 10.0 ** k, inst.V_target * 10.0 ** k)
+
+
+def sorted_interval(inst):
+    """(value, lo, hi) of the critical interval from a stable full sort of
+    the ratios and a walk over the cumulative volume priced out."""
+    r = np.sort(inst.ratios(), kind="stable")
+    total = inst.total_volume
+    target = total - kp.effective_budget(inst)
+    csum = np.concatenate([[0.0], np.cumsum(inst.v)])
+    k = int(np.count_nonzero(csum <= target + 1e-9 * total)) - 1
+    lo = float(r[k - 1]) if k > 0 else 0.0
+    hi = float(r[k]) if k < inst.n else np.inf
+    if hi <= lo:
+        return lo, lo, lo
+    return (0.5 * (lo + hi) if np.isfinite(hi) else lo + max(1.0, lo)), lo, hi
+
+
+@SETTINGS
+@given(tied_instances(), st.integers(-12, 3))
+def test_tau_critical_equals_the_sort_oracle(inst, k):
+    scaled = volume_scaled(inst, k)
+    for case in (inst, scaled):
+        tc = kp.tau_critical(case)
+        assert (tc.value, tc.lo, tc.hi) == sorted_interval(case)
+
+
+@st.composite
+def solve_cases(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    w = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        v = np.full(n, 1.0 / n)
+    else:
+        v = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    V = draw(st.floats(0.01, 1.0)) * float(v.sum())
+    return kp.KnapsackInstance(w, v, V), kp.SolveParams(perturb=draw(st.booleans()))
+
+
+def outcome(inst, params):
+    try:
+        res = kp.solve(inst, params=params)
+    except kp.KnapsackError as exc:
+        return type(exc)
+    return res.density.support(), res.certificate.perturbed
+
+
+@SETTINGS
+@given(solve_cases(), st.integers(-12, 3))
+def test_outcome_invariant_under_volume_scaling(case, k):
+    inst, params = case
+    scaled = volume_scaled(inst, k)
+    # an inexact quotient can round two one-ulp neighbours into a tie, which
+    # is another instance; compare only scalings that keep the ratio order
+    assume(np.array_equal(comparisons(inst.ratios()), comparisons(scaled.ratios())))
+    assert outcome(scaled, params) == outcome(inst, params)
