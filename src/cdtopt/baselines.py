@@ -63,15 +63,9 @@ class SimpConfig:
 
 
 def _element_centroids(mesh):
-    if mesh.ndim == 2:
-        nelx, nely = mesh.dims
-        ex, ey = np.meshgrid(np.arange(nelx), np.arange(nely), indexing="ij")
-        return np.column_stack([ex.ravel() + 0.5, ey.ravel() + 0.5])
-    nelx, nely, nelz = mesh.dims
-    ez, ex, ey = np.meshgrid(
-        np.arange(nelz), np.arange(nelx), np.arange(nely), indexing="ij"
-    )
-    return np.column_stack([ex.ravel() + 0.5, ey.ravel() + 0.5, ez.ravel() + 0.5])
+    # grid position of each element, in element-number order, plus a half
+    at = np.unravel_index(np.argsort(mesh.element_ids(), axis=None), mesh.dims)
+    return np.column_stack(at) + 0.5
 
 
 def _filter_matrix(mesh, rmin):
@@ -219,20 +213,17 @@ class CostRow:
     update_s: float
 
 
-def per_iteration_cost_probe(mesh_sizes, volfrac=0.5, mu=0.97, methods=("cdt", "beso"),
-                             build=None):
+def per_iteration_cost_probe(mesh_sizes, volfrac=0.5, mu=0.97, methods=("cdt", "beso")):
     """Wall-time comparison across mesh sizes.
 
     ``mesh_sizes`` is a sequence of (nelx, nely); each method of
-    :data:`METHODS` is run to convergence on the long cantilever (or a
-    custom ``build`` callable) and one CostRow per (method, mesh) is
-    returned.
+    :data:`METHODS` is run to convergence on the long cantilever and one
+    CostRow per (method, mesh) is returned.
     """
-    build = build or build_cantilever2d
     options = {"volfrac": volfrac, "mu": mu}
     rows = []
     for nelx, nely in mesh_sizes:
-        model = build(nelx, nely)
+        model = build_cantilever2d(nelx, nely)
         for method in methods:
             t0 = time.perf_counter()
             _, rec = run_method(method, model, options)

@@ -134,16 +134,19 @@ def parse_cli(argv):
     # that argparse converts and checks them and every explicit flag wins
     ns = parser.parse_args(argv)
     if getattr(ns, "config", None):
-        chosen = sub.choices[ns.subcommand]
-        flags = {a.dest: a.option_strings[0] for a in chosen._actions if a.dest != "help"}
+        # keyed on the flag name, not its dest: ``lambda``, not ``lam``
+        actions = {opt.lstrip("-").replace("-", "_"): a
+                   for a in sub.choices[ns.subcommand]._actions if a.dest != "help"
+                   for opt in a.option_strings}
         seeded = []
         for key, raw in _read_config(ns.config).items():
-            if key not in flags:
+            if key not in actions:
                 raise UsageError(f"unknown config key {key!r}")
-            if not isinstance(chosen.get_default(key), bool):
-                seeded.append(f"{flags[key]}={raw}")
+            flag = actions[key].option_strings[0]
+            if not isinstance(actions[key].default, bool):
+                seeded.append(f"{flag}={raw}")
             elif raw.lower() in ("1", "true", "yes", "on"):
-                seeded.append(flags[key])
+                seeded.append(flag)
         at = argv.index(ns.subcommand) + 1
         ns = parser.parse_args(argv[:at] + seeded + argv[at:])
 
@@ -166,25 +169,18 @@ def write_density_pgm(rho, mesh, path, ascii_format=False):
     """Write densities as graymaps: solid black, void white, row-major
     top-to-bottom.  3-D meshes produce one file per z-layer with a
     ``_z###`` suffix."""
-    rho = np.asarray(rho, dtype=float)
-    if mesh.ndim == 3:
-        nelx, nely, nelz = mesh.dims
-        written = []
-        per_layer = nelx * nely
-        stem, ext = os.path.splitext(path)
-        for k in range(nelz):
-            layer = rho[k * per_layer:(k + 1) * per_layer]
-            written.append(_write_pgm_2d(layer, (nelx, nely),
-                                         f"{stem}_z{k:03d}{ext or '.pgm'}",
-                                         ascii_format))
-        return written
-    return [_write_pgm_2d(rho, mesh.dims, path, ascii_format)]
+    grid = np.asarray(rho, dtype=float).reshape(mesh.n_elements)[mesh.element_ids()]
+    if mesh.ndim == 2:
+        return [_write_pgm_2d(grid, path, ascii_format)]
+    stem, ext = os.path.splitext(path)
+    return [_write_pgm_2d(grid[:, :, k], f"{stem}_z{k:03d}{ext or '.pgm'}", ascii_format)
+            for k in range(mesh.dims[2])]
 
 
-def _write_pgm_2d(rho, dims, path, ascii_format):
-    nelx, nely = dims
-    # element e = ex*nely + ey; pixel (row ey, col ex)
-    img = np.rint(255.0 * (1.0 - rho.reshape(nelx, nely).T)).astype(np.uint8)
+def _write_pgm_2d(grid, path, ascii_format):
+    nelx, nely = grid.shape
+    # element at grid position (ex, ey) is pixel (row ey, col ex)
+    img = np.rint(255.0 * (1.0 - grid.T)).astype(np.uint8)
     try:
         if ascii_format:
             lines = [f"P2\n{nelx} {nely}\n255\n"]

@@ -1,7 +1,9 @@
 """Linear-elastic finite elements on structured grids of unit squares/cubes.
 
 Conventions (matching the widely used educational topology-optimization
-codes so published load/support indices transfer directly):
+codes so published load/support indices transfer directly).  The global
+numbers are stated once, by :meth:`Mesh.node_ids` and
+:meth:`Mesh.element_ids`; every other module reads them from there.
 
 * 2-D: nodes are numbered column-wise, top to bottom, left to right;
   node (i, j) has index ``i*(nely+1) + j`` with j increasing downward.
@@ -9,7 +11,8 @@ codes so published load/support indices transfer directly):
   index ``ei*nely + ej`` and its 8 dofs are ordered
   [lower-left, lower-right, upper-right, upper-left] x (x, y).
 * 3-D: the 2-D layout is repeated per z-layer; node (i, j, k) has index
-  ``k*(nelx+1)*(nely+1) + i*(nely+1) + j`` and three dofs (x, y, z).
+  ``k*(nelx+1)*(nely+1) + i*(nely+1) + j`` and three dofs (x, y, z), and
+  element (ei, ej, ek) has index ``ek*nelx*nely + ei*nely + ej``.
   Element dofs list the k-layer quad first, then the k+1 layer.
 * Geometry for analytic checks: node (i, j[, k]) sits at physical
   coordinates (i, -j[, k]), i.e. the y axis of the stored grid points
@@ -95,6 +98,27 @@ class Mesh:
         n = self.n_elements
         return np.full(n, 1.0 / n)
 
+    def node_ids(self):
+        """Global node numbers indexed by grid position (i, j[, k])."""
+        return _grid_numbers(tuple(d + 1 for d in self.dims))
+
+    def element_ids(self):
+        """Global element numbers indexed by grid position (ei, ej[, ek])."""
+        return _grid_numbers(self.dims)
+
+
+def _grid_numbers(shape):
+    # x-major then y within a z-layer; the z-layer is outermost
+    ids = np.arange(np.prod(shape), dtype=np.int64).reshape(shape[2:] + shape[:2])
+    return np.moveaxis(ids, 0, -1) if len(shape) == 3 else ids
+
+
+# Element corners as node offsets (di, dj, dk) from its grid position:
+# lower-left, lower-right, upper-right, upper-left (j grows downward), then
+# the same quad one z-layer up.  A 2-D element uses the first quad's (di, dj).
+_CORNERS = np.array([(0, 1, 0), (1, 1, 0), (1, 0, 0), (0, 0, 0),
+                     (0, 1, 1), (1, 1, 1), (1, 0, 1), (0, 0, 1)])
+
 
 @dataclass(frozen=True)
 class Material:
@@ -179,11 +203,10 @@ def element_stiffness_2d(material):
 
 
 def _h8_local_nodes():
-    # unit cube, bottom quad counterclockwise then top quad
-    return np.array([
-        [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0],
-    ])
+    # the element's corners at physical coordinates (i, 1 - j, k): bottom
+    # quad counterclockwise, then top quad
+    i, j, k = _CORNERS.T
+    return np.column_stack([i, 1 - j, k]).astype(float)
 
 
 def elasticity_matrix_3d(nu):
@@ -245,40 +268,13 @@ def _h8_shape_gradients(x, y, z, nodes):
 @lru_cache(maxsize=32)
 def element_dof_map(dims):
     """(n_elements, dofs-per-element) array of global dof indices."""
-    if len(dims) == 2:
-        nelx, nely = dims
-        ex, ey = np.meshgrid(np.arange(nelx), np.arange(nely), indexing="ij")
-        n1 = (ex * (nely + 1) + ey).ravel()      # upper-left node
-        bl = n1 + 1
-        br = n1 + nely + 2
-        tr = n1 + nely + 1
-        tl = n1
-        nodes = np.stack([bl, br, tr, tl], axis=1)
-        edof = np.empty((nelx * nely, 8), dtype=np.int64)
-        edof[:, 0::2] = 2 * nodes
-        edof[:, 1::2] = 2 * nodes + 1
-    else:
-        nelx, nely, nelz = dims
-        ex, ey, ez = np.meshgrid(
-            np.arange(nelx), np.arange(nely), np.arange(nelz), indexing="ij"
-        )
-        layer = (nelx + 1) * (nely + 1)
-        # element order: z-layer outermost, then column-major within a layer
-        order = (ez * nelx * nely + ex * nely + ey).ravel()
-        n1 = (ez * layer + ex * (nely + 1) + ey).ravel()
-        bl = n1 + 1
-        br = n1 + nely + 2
-        tr = n1 + nely + 1
-        tl = n1
-        quad = np.stack([bl, br, tr, tl], axis=1)
-        nodes = np.concatenate([quad, quad + layer], axis=1)
-        edof = np.empty((nelx * nely * nelz, 24), dtype=np.int64)
-        edof[:, 0::3] = 3 * nodes
-        edof[:, 1::3] = 3 * nodes + 1
-        edof[:, 2::3] = 3 * nodes + 2
-        inv = np.empty_like(order)
-        inv[order] = np.arange(order.size)
-        edof = edof[inv]
+    mesh = Mesh(dims)
+    ndim = mesh.ndim
+    # grid position of each element, in element-number order
+    at = np.unravel_index(np.argsort(mesh.element_ids(), axis=None), mesh.dims)
+    corners = _CORNERS[:2 ** ndim, :ndim]
+    nodes = mesh.node_ids()[tuple(p[:, None] + c for p, c in zip(at, corners.T))]
+    edof = (ndim * nodes[:, :, None] + np.arange(ndim)).reshape(mesh.n_elements, -1)
     edof.flags.writeable = False
     return edof
 
@@ -342,11 +338,8 @@ def _band_layout(dims, fixed_key):
     # natural numbering.
     ndim = len(dims)
     fixed = np.frombuffer(fixed_key, dtype=np.int64)
-    shape = (dims[0] + 1, dims[1] + 1) if ndim == 2 else (dims[2] + 1, dims[0] + 1, dims[1] + 1)
-    grid = np.indices(shape).reshape(ndim, -1)        # node ids in C order
-    coord = grid if ndim == 2 else grid[[1, 2, 0]]    # per axis x, y(, z)
     outer_first = sorted(range(ndim), key=lambda a: -dims[a])
-    nodes = np.lexsort([coord[a] for a in reversed(outer_first)])
+    nodes = np.transpose(Mesh(dims).node_ids(), outer_first).ravel()
     order = (ndim * nodes[:, None] + np.arange(ndim)).ravel()
     is_fixed = np.zeros(order.size, dtype=bool)
     is_fixed[fixed] = True

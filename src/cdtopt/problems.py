@@ -26,11 +26,10 @@ def build_mbb(nelx, nely, load=1.0, material=None):
     if nelx < 2 or nely < 2:
         raise ValueError("MBB needs nelx, nely >= 2")
     mesh = Mesh((nelx, nely))
+    node = mesh.node_ids()
     f = np.zeros(mesh.n_dofs)
-    f[1] = -float(load)                      # y-dof of node (0, 0)
-    left_x = 2 * np.arange(nely + 1)         # x-dofs of nodes (0, j)
-    corner = mesh.n_dofs - 1                 # y-dof of node (nelx, nely)
-    fixed = np.concatenate([left_x, [corner]])
+    f[2 * node[0, 0] + 1] = -float(load)
+    fixed = np.append(2 * node[0], 2 * node[nelx, nely] + 1)
     return StructuralModel(mesh, material or Material(), fixed, f)
 
 
@@ -38,10 +37,10 @@ def build_cantilever2d(nelx, nely, load=1.0, material=None):
     """Long cantilever: left edge fully clamped, unit downward load at the
     bottom-right corner node."""
     mesh = Mesh((nelx, nely))
+    node = mesh.node_ids()
     f = np.zeros(mesh.n_dofs)
-    tip = nelx * (nely + 1) + nely           # node (nelx, nely)
-    f[2 * tip + 1] = -float(load)
-    fixed = np.arange(2 * (nely + 1))        # both dofs of nodes (0, j)
+    f[2 * node[nelx, nely] + 1] = -float(load)
+    fixed = np.append(2 * node[0], 2 * node[0] + 1)
     return StructuralModel(mesh, material or Material(), fixed, f)
 
 
@@ -50,13 +49,11 @@ def build_cantilever3d(nelx, nely, nelz, load=1.0, material=None):
     total magnitude spread along the lower free edge (nodes with i = nelx,
     j = nely, all k), acting in -y."""
     mesh = Mesh((nelx, nely, nelz))
-    layer = (nelx + 1) * (nely + 1)
+    node = mesh.node_ids()
     f = np.zeros(mesh.n_dofs)
-    k = np.arange(nelz + 1)
-    edge_nodes = k * layer + nelx * (nely + 1) + nely
-    f[3 * edge_nodes + 1] = -float(load) / (nelz + 1)
-    face = (k[:, None] * layer + np.arange(nely + 1)[None, :]).ravel()
-    fixed = np.concatenate([3 * face, 3 * face + 1, 3 * face + 2])
+    f[3 * node[nelx, nely] + 1] = -float(load) / (nelz + 1)
+    face = 3 * node[0]
+    fixed = np.concatenate([face, face + 1, face + 2], axis=None)
     return StructuralModel(mesh, material or Material(), fixed, f)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from cdtopt import fem, knapsack
 from cdtopt.baselines import (
+    _element_centroids,
     SimpConfig,
     beso_select,
     per_iteration_cost_probe,
@@ -123,6 +124,17 @@ def test_beso_strain_energy_close_to_cdt():
         return (r.volume, r.compliance, r.strain_energy, r.P_u)
 
     assert [fields(r) for r in rb.rows] == [fields(r) for r in rc.rows]
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (3, 2), (4, 3, 2), (3, 5, 6)])
+def test_element_centroids_are_element_centres(dims):
+    # element (ei, ej, ek) is ek*nelx*nely + ei*nely + ej (fem docstring)
+    nelx, nely = dims[:2]
+    centres = _element_centroids(fem.Mesh(dims))
+    assert centres.shape == (int(np.prod(dims)), len(dims))
+    for ei, ej, *ek in np.ndindex(*dims):
+        e = (ek[0] if ek else 0) * nelx * nely + ei * nely + ej
+        assert centres[e].tolist() == [ei + 0.5, ej + 0.5] + [k + 0.5 for k in ek]
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,21 @@ def test_config_file_unknown_key(tmp_path):
         cli.parse_cli(["run", "--config", str(cfg)])
 
 
+def test_config_file_keys_are_flag_names(tmp_path):
+    # ``--lambda`` stores to ``lam``; a file names the flag, with dashes or
+    # underscores
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text("lambda = 3\n")
+    inv = cli.parse_cli(["demo", "--name", "double-well", "--config", str(cfg)])
+    assert inv.options["lam"] == 3.0
+    cfg.write_text("lam = 3\n")
+    with pytest.raises(cli.UsageError, match="lam"):
+        cli.parse_cli(["demo", "--name", "double-well", "--config", str(cfg)])
+    for key in ("max-outer", "max_outer"):
+        cfg.write_text(f"{key} = 7\n")
+        assert cli.parse_cli(["run", "--config", str(cfg)]).options["max_outer"] == 7
+
+
 @pytest.mark.parametrize("line", ["method = bogus", "problem = bogus", "nelx = 1.5"])
 def test_config_file_values_are_checked_as_flags(tmp_path, line):
     # argparse converts a file's values and checks them against choices
@@ -162,11 +177,18 @@ def test_pgm_ascii_variant(tmp_path):
 
 
 def test_pgm_3d_writes_one_file_per_layer(tmp_path):
-    mesh = fem.Mesh((2, 2, 3))
-    rho = np.zeros(12)
-    paths = cli.write_density_pgm(rho, mesh, str(tmp_path / "vol.pgm"))
-    assert len(paths) == 3
-    assert all(os.path.exists(p) for p in paths)
+    # layer k shows z-layer k: element (ei, ej, ek) is ek*nelx*nely +
+    # ei*nely + ej (fem docstring); distinct gray levels expose any permutation
+    nelx, nely, nelz = 4, 3, 3
+    rho = np.linspace(0.0, 1.0, nelx * nely * nelz)
+    paths = cli.write_density_pgm(rho, fem.Mesh((nelx, nely, nelz)), str(tmp_path / "v.pgm"))
+    assert [os.path.basename(p) for p in paths] == ["v_z000.pgm", "v_z001.pgm", "v_z002.pgm"]
+    for k, path in enumerate(paths):
+        img = cli.read_pgm(path)
+        assert img.shape == (nely, nelx)
+        for ei, ej in np.ndindex(nelx, nely):
+            e = k * nelx * nely + ei * nely + ej
+            assert img[ej, ei] == np.rint(255.0 * (1.0 - rho[e]))
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,52 @@ def test_removing_material_never_decreases_compliance():
 
 
 # ---------------------------------------------------------------------------
+# numbering: the formulas of the module docstring, written out per index
+# ---------------------------------------------------------------------------
+
+NUMBERING_DIMS = [(1, 1), (3, 2), (5, 7), (1, 1, 1), (2, 2, 2), (4, 3, 2), (3, 5, 6)]
+
+
+def docstring_node(dims, i, j, k=0):
+    nelx, nely = dims[:2]
+    return k * (nelx + 1) * (nely + 1) + i * (nely + 1) + j
+
+
+def docstring_element(dims, ei, ej, ek=0):
+    nelx, nely = dims[:2]
+    return ek * nelx * nely + ei * nely + ej
+
+
+def docstring_dof_map(dims):
+    ndim = len(dims)
+    edof = np.empty((int(np.prod(dims)), ndim * 2 ** ndim), dtype=np.int64)
+    for ei, ej, *ek in np.ndindex(*dims):
+        # lower-left, lower-right, upper-right, upper-left; j grows downward
+        quad = [(ei, ej + 1), (ei + 1, ej + 1), (ei + 1, ej), (ei, ej)]
+        layers = [ek[0], ek[0] + 1] if ek else [0]
+        nodes = [docstring_node(dims, i, j, k) for k in layers for i, j in quad]
+        edof[docstring_element(dims, ei, ej, *ek)] = [
+            ndim * n + c for n in nodes for c in range(ndim)]
+    return edof
+
+
+@pytest.mark.parametrize("dims", NUMBERING_DIMS)
+def test_element_dof_map_matches_docstring_formulas(dims):
+    edof = fem.element_dof_map(dims)
+    assert edof.dtype == np.int64
+    assert np.array_equal(edof, docstring_dof_map(dims))
+
+
+@pytest.mark.parametrize("dims", NUMBERING_DIMS)
+def test_node_and_element_ids_match_docstring_formulas(dims):
+    mesh = fem.Mesh(dims)
+    node, element = mesh.node_ids(), mesh.element_ids()
+    assert node.shape == tuple(d + 1 for d in dims) and element.shape == dims
+    assert all(node[p] == docstring_node(dims, *p) for p in np.ndindex(*node.shape))
+    assert all(element[p] == docstring_element(dims, *p) for p in np.ndindex(*dims))
+
+
+# ---------------------------------------------------------------------------
 # types
 # ---------------------------------------------------------------------------
 

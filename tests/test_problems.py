@@ -49,6 +49,20 @@ def test_cantilever3d_load_normalized_and_supports():
     reduced_spd(model)
 
 
+@pytest.mark.parametrize("dims", [(4, 2, 3), (3, 5, 1), (1, 1, 1)])
+def test_cantilever3d_clamps_x0_face_and_loads_tip_edge(dims):
+    # node (i, j, k) is k*(nelx+1)*(nely+1) + i*(nely+1) + j (fem docstring)
+    nelx, nely, nelz = dims
+    model = build_cantilever3d(*dims)
+    layer = (nelx + 1) * (nely + 1)
+    face = [k * layer + j for k in range(nelz + 1) for j in range(nely + 1)]
+    assert model.fixed_dofs.tolist() == sorted(3 * n + c for n in face for c in range(3))
+    edge = [k * layer + nelx * (nely + 1) + nely for k in range(nelz + 1)]
+    expected = np.zeros(model.mesh.n_dofs)
+    expected[[3 * n + 1 for n in edge]] = -1.0 / (nelz + 1)
+    assert np.array_equal(model.load, expected)
+
+
 def test_cantilever3d_small_beam_solvable():
     model = build_cantilever3d(4, 1, 1)
     u = fem.solve_equilibrium(model, np.ones(model.n_elements))
