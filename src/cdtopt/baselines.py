@@ -146,6 +146,7 @@ def run_simp(model, volfrac, config=None):
             V_gamma=volfrac,
             fem_ms=(t1 - t0) * 1e3,
             update_ms=(t2 - t1) * 1e3,
+            residual=u.residual,
         ))
         x = xnew
         if change <= cfg.omega2:

@@ -84,6 +84,7 @@ class IterationRecord:
     tau_end: float = math.nan
     fem_ms: float = 0.0
     update_ms: float = 0.0
+    residual: float = math.nan   # relative equilibrium residual of the step's solve
 
 
 @dataclass
@@ -152,6 +153,7 @@ def outer_loop(model, config, method, select):
             V_gamma=V_g,
             fem_ms=(t1 - t0) * 1e3,
             update_ms=(t2 - t1) * 1e3,
+            residual=u.residual,
             **fields,
         ))
         rho = rho_new
@@ -183,7 +185,7 @@ def run_cdt(model, config):
         nonlocal tau
         params = knapsack.SolveParams(tau0=tau)
         result = knapsack.solve(knapsack.KnapsackInstance(w, v, V_g), params=params)
-        tau = result.point.tau
+        tau = result.tau
         return result.density.rho, dict(
             inner_iters=1, P_dual=result.certificate.dual_objective, tau_end=tau)
 

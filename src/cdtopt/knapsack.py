@@ -37,7 +37,7 @@ ramp perturbation of the gains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 import math
 
@@ -144,11 +144,19 @@ def _readonly(a):
 
 @dataclass(frozen=True)
 class KnapsackInstance:
-    """Gains ``w``, volumes ``v`` and budget ``V_target`` of one instance."""
+    """Gains ``w``, volumes ``v`` and budget ``V_target`` of one instance.
+
+    The total volume, the read-only gain/volume ratios and the
+    equal-volume flag are computed once, on construction; a changed copy
+    (``dataclasses.replace``, :func:`perturb`) computes its own.
+    """
 
     w: np.ndarray
     v: np.ndarray
     V_target: float
+    total_volume: float = field(init=False, repr=False, compare=False)
+    _ratios: np.ndarray = field(init=False, repr=False, compare=False)
+    _equal_volumes: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", _readonly(self.w))
@@ -167,20 +175,21 @@ class KnapsackInstance:
             raise ValueError(
                 f"V_target must lie in (0, sum(v)]; got {self.V_target} vs {total}"
             )
+        ratios = self.w / self.v
+        ratios.flags.writeable = False
+        object.__setattr__(self, "total_volume", total)
+        object.__setattr__(self, "_ratios", ratios)
+        object.__setattr__(self, "_equal_volumes", bool(np.all(self.v == self.v[0])))
 
     @property
     def n(self):
         return self.w.size
 
-    @property
-    def total_volume(self):
-        return float(self.v.sum())
-
     def ratios(self):
-        return self.w / self.v
+        return self._ratios
 
     def equal_volumes(self):
-        return bool(np.all(self.v == self.v[0]))
+        return self._equal_volumes
 
 
 @dataclass(frozen=True)
@@ -291,9 +300,23 @@ class SolveParams:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Selection, reported multiplier and certificate of one solve.
+
+    ``solved`` is the instance whose dual certifies ``tau``: the input, or
+    its ramp-perturbed copy when ``certificate.perturbed``.
+    """
+
     density: BinaryDensity
-    point: DualPoint
+    tau: float
     certificate: Certificate
+    solved: KnapsackInstance = field(repr=False, compare=False)
+
+    @property
+    def point(self):
+        """The dual point (sigma, tau) at the cubic's beta -> inf root
+        sigma = |theta|; the floor keeps a tau on a breakpoint valid."""
+        theta = self.tau * self.solved.v - self.solved.w
+        return DualPoint(np.maximum(np.abs(theta), np.finfo(float).tiny), self.tau)
 
 
 @dataclass(frozen=True)
@@ -567,23 +590,22 @@ def perturb(instance, epsilon):
 
 def _result(instance, work, rho, tau, budget, trivial=None):
     """Solve result for ``rho`` at multiplier ``tau`` on the solved copy
-    ``work``, certified by the penalty-free dual at sigma = |theta|, which
-    is D_inf(tau) = -(tau V + sum max(0, w - tau v))."""
-    # sigma = |theta| is the cubic's beta -> inf root; the floor keeps a
-    # tau sitting on a breakpoint a valid dual point
-    point = DualPoint(np.maximum(np.abs(tau * work.v - work.w), np.finfo(float).tiny), tau)
+    ``work``, certified by D_inf(tau) = -(tau V + sum max(0, w - tau v)),
+    the penalty-free dual at sigma = |theta|, summed from (w, v, tau)."""
+    tau = float(tau)
+    dual = -(tau * budget + float(np.maximum(work.w - tau * work.v, 0.0).sum()))
     gain = float(np.dot(instance.w, rho))
-    dual = dual_objective(point, work, budget)
+    work_gain = gain if work is instance else float(np.dot(work.w, rho))
     cert = Certificate(
         primal_objective=-gain,
         gain=gain,
         dual_objective=dual,
-        residual=abs(-float(np.dot(work.w, rho)) - dual),
+        residual=abs(-work_gain - dual),
         budget=budget,
         perturbed=work is not instance,
         trivial=trivial,
     )
-    return SolveResult(BinaryDensity(rho), point, cert)
+    return SolveResult(BinaryDensity(rho), tau, cert, work)
 
 
 def solve(instance, V_gamma=None, params=None):

@@ -40,6 +40,7 @@ def test_simp_strain_energy_column_equals_compliance():
     assert rec.rows
     for r in rec.rows:
         assert abs(r.strain_energy - r.compliance) <= 1e-8 * r.compliance
+        assert 0.0 <= r.residual <= 1e-10   # SIMP's solves are strict
 
 
 def test_simp_grayness_exceeds_cdt():
@@ -121,7 +122,7 @@ def test_beso_strain_energy_close_to_cdt():
     assert rb.final_compliance == rc.final_compliance
 
     def fields(r):
-        return (r.volume, r.compliance, r.strain_energy, r.P_u)
+        return (r.volume, r.compliance, r.strain_energy, r.P_u, r.residual)
 
     assert [fields(r) for r in rb.rows] == [fields(r) for r in rc.rows]
 

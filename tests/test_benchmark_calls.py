@@ -1,7 +1,8 @@
 """The benchmark in perfbench/ drives cdtopt through its public names:
 positional ``run_simp(model, volfrac)``, ``SolveParams(tau0=)``,
-``params.perturb_scale``, ``result.point.tau`` and the two ``cli.write_*``
-writers.  Running its workloads on small inputs keeps those calls working.
+``params.perturb_scale``, ``result.point.tau`` (which must equal
+``result.tau``) and the two ``cli.write_*`` writers.  Running its
+workloads on small inputs keeps those calls working.
 """
 
 import importlib
@@ -25,6 +26,17 @@ def test_benchmark_workloads_run_on_small_inputs(tmp_path, monkeypatch):
             assert Path(path).stat().st_size > 0
         assert len(Path(csv).read_text().splitlines()) == record.outer_iterations + 1
     chains = [workloads.Chain(12, (0.5,), 1), workloads.Chain(40, workloads.schedule(0.4), 2)]
+    results = []
+    solve = cdtopt.knapsack.solve
+
+    def recording_solve(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cdtopt.knapsack, "solve", recording_solve)
     stream = workloads.run_stream(cdtopt, chains)
     assert len(stream.outcomes) == sum(len(c.budgets) for c in chains)
     assert not stream.failures and not stream.wrong
+    # the stream warm-starts from result.point.tau, the driver from result.tau
+    assert len(results) == len(stream.outcomes)
+    assert all(r.point.tau == r.tau for r in results)

@@ -1,5 +1,8 @@
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +280,18 @@ def test_main_demo_double_well(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "double_well_roots.csv").exists()
     assert "global_min" in capsys.readouterr().out
+
+
+def test_python_dash_m_cdtopt_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdtopt", "demo", "--name", "buridan", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "unique True" in proc.stdout
 
 
 def test_main_demo_simp_surface(tmp_path):

@@ -114,6 +114,15 @@ def test_run_record_strain_energy_consistent():
         assert np.isfinite(r.compliance) and r.compliance > 0.0
 
 
+def test_rows_record_the_equilibrium_residual_of_each_step():
+    # step 12 of this run is taken from a near-mechanism layout whose
+    # refined residual stays far above the strict 1e-10 target
+    _, _, rec = run_cdt(build_cantilever2d(16, 6), CdtConfig(volfrac=0.5, mu=0.95))
+    residuals = {r.gamma: r.residual for r in rec.rows}
+    assert residuals.pop(12) == pytest.approx(8.3e-8, rel=0.02)
+    assert all(0.0 <= r <= 1e-10 for r in residuals.values())
+
+
 def test_benchmark_tracing_hooks_reach_the_outer_loop():
     # perfbench/tracing.py swaps module globals of cdtopt.driver and
     # cdtopt.baselines by name; the shared loop must keep calling through them

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -301,6 +302,21 @@ def test_perturb_keeps_original_unmodified():
     assert inst.w.tolist() == [2.0, 2.0]
 
 
+def test_perturb_builds_its_own_ratios_and_total_volume():
+    # the per-instance quantities are computed on construction: a changed
+    # copy must not carry its parent's
+    inst = make([2.0, 2.0, 1.0], [0.5, 0.25, 0.25], 0.5)
+    perturbed = kp.perturb(inst, 0.1)
+    assert perturbed.ratios() is not inst.ratios()
+    assert np.array_equal(perturbed.ratios(), perturbed.w / perturbed.v)
+    assert inst.ratios().tolist() == [4.0, 8.0, 4.0]
+    assert perturbed.total_volume == float(perturbed.v.sum())
+    resized = dataclasses.replace(inst, v=np.full(3, 2.0))
+    assert (resized.total_volume, resized.equal_volumes()) == (6.0, True)
+    assert (inst.total_volume, inst.equal_volumes()) == (1.0, False)
+    assert resized.ratios().tolist() == [1.0, 1.0, 0.5]
+
+
 def test_perturb_argmax_invariance_below_gap():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -519,6 +535,13 @@ def test_instance_validation():
         make([1.0], [1.0], 0.0)
     with pytest.raises(ValueError):
         make([1.0], [1.0], 1.5)
+
+
+def test_instance_ratios_are_read_only():
+    inst = make([2.0, 1.0], [1.0, 1.0], 1.0)
+    with pytest.raises(ValueError):
+        inst.ratios()[0] = 0.0
+    assert inst.ratios().tolist() == [2.0, 1.0]
 
 
 def test_dual_point_validation():

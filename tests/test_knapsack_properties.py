@@ -5,7 +5,8 @@ a level exactly (ties), one ulp above or below it (near-ties), or zero.
 Greedy top-k is the exact oracle for equal volumes, a stable full sort
 of the ratios is the oracle of the critical interval, and the
 finite-beta iteration is the reference that the closed-form solve is the
-limit of.  Volume scaling is checked on equal and unequal volumes.
+limit of.  Volume scaling and the certificate are checked on equal and
+unequal volumes.
 """
 
 import numpy as np
@@ -169,3 +170,45 @@ def test_outcome_invariant_under_volume_scaling(case, k):
     # is another instance; compare only scalings that keep the ratio order
     assume(np.array_equal(comparisons(inst.ratios()), comparisons(scaled.ratios())))
     assert outcome(scaled, params) == outcome(inst, params)
+
+
+def check_certificate(inst, res, params):
+    """D_inf agrees with the penalty-free dual at sigma = max(|theta|, tiny),
+    and tau is one the critical interval of the solved instance allows."""
+    cert, work, tau = res.certificate, res.solved, res.tau
+    if cert.perturbed:
+        ramp = params.perturb_scale * (float(inst.w.max()) or 1.0)
+        assert np.array_equal(work.w, kp.perturb(inst, ramp).w)
+    else:
+        assert work is inst
+    sigma = np.maximum(np.abs(tau * work.v - work.w), np.finfo(float).tiny)
+    reference = kp.dual_objective(kp.DualPoint(sigma, tau), work, cert.budget)
+    # the psi^2/sigma sum leaves an eps^2 * tau * v residue on each priced-out
+    # element, where D_inf has an exact zero: it shows when D_inf is 0
+    eps = np.finfo(float).eps
+    scale = abs(reference) + eps * tau * work.total_volume
+    assert abs(cert.dual_objective - reference) <= 4 * inst.n * eps * scale
+    assert res.point.tau == tau
+    assert np.array_equal(res.point.sigma, sigma)
+    if cert.trivial is None:
+        tc = kp.tau_critical(work, cert.budget)
+        assert tc.lo < tau < tc.hi or tau == tc.value
+
+
+@SETTINGS
+@given(solve_cases(max_n=40), st.floats(0.0, 20.0))
+def test_certificate_matches_the_sigma_dual(case, tau0):
+    inst, params = case
+    params = kp.SolveParams(tau0=tau0, perturb=params.perturb)
+    try:
+        res = kp.solve(inst, params=params)
+    except kp.KnapsackError:
+        return
+    check_certificate(inst, res, params)
+
+
+@SETTINGS
+@given(tied_instances())
+def test_certificate_matches_the_sigma_dual_on_ties(inst):
+    params = kp.SolveParams()
+    check_certificate(inst, kp.solve(inst, params=params), params)
