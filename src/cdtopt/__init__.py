@@ -7,7 +7,12 @@ Subpackages: :mod:`cdtopt.knapsack` (the analytic 0-1 solver),
 (closed-form demonstrations) and :mod:`cdtopt.cli`.
 """
 
+import logging
+
 from . import analytic, baselines, cli, driver, fem, knapsack, problems
+
+# library logging is silent unless the application configures a handler
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = ["analytic", "baselines", "cli", "driver", "fem", "knapsack", "problems"]
 __version__ = "0.1.0"

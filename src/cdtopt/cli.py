@@ -238,8 +238,8 @@ def _cmd_run(options):
     material = Material(E=options["E"], nu=options["nu"], E_min=options["emin"])
     model = PROBLEMS[options["problem"]](*dims, load=options["load"], material=material)
     method = options["method"]
-    rho, record = run_method(method, model, options)
     out = _out_dir(options)
+    rho, record = run_method(method, model, options)
     tag = f"{options['problem']}_{method}"
     write_density_pgm(rho, model.mesh, os.path.join(out, f"{tag}_density.pgm"),
                       ascii_format=options.get("ascii_pgm", False))
@@ -294,9 +294,9 @@ def _cmd_probe(options):
         nelx, nely = token.lower().split("x")
         sizes.append((int(nelx), int(nely)))
     methods = tuple(options["methods"].split(","))
+    out = _out_dir(options)
     rows = per_iteration_cost_probe(sizes, volfrac=options["volfrac"],
                                     mu=options["mu"], methods=methods)
-    out = _out_dir(options)
     path = _write_csv(os.path.join(out, "cost_probe.csv"),
                       ["method", "nelx", "nely", "n_elements", "outer_iters",
                        "total_s", "fem_s", "update_s"],
@@ -313,7 +313,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         invocation = parse_cli(argv)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -322,7 +322,7 @@ def main(argv=None):
         if invocation.subcommand == "demo":
             return _cmd_demo(invocation.options)
         return _cmd_probe(invocation.options)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (knapsack.KnapsackError, FemError, DriverError) as exc:

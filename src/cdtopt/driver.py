@@ -12,6 +12,7 @@ a greedy selector.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import knapsack
-from .fem import compliance, element_energies, moduli, solve_equilibrium
+from .fem import RESIDUAL_TOL, compliance, element_energies, moduli, solve_equilibrium
 
 __all__ = [
     "DriverError",
@@ -32,6 +33,8 @@ __all__ = [
     "outer_loop",
     "run_cdt",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class DriverError(Exception):
@@ -125,7 +128,8 @@ def outer_loop(model, config, method, select):
 
     Each step solves equilibrium, scores the elements and calls
     ``select(w, v, V_g, rho)``, which returns the new layout and its own
-    record fields.  Returns (BinaryDensity, final Displacement, RunRecord);
+    record fields.  A step whose solve misses ``fem.RESIDUAL_TOL`` is logged
+    as a warning.  Returns (BinaryDensity, final Displacement, RunRecord);
     raises MaxOuterExceeded if the stop rule is not met within max_outer.
     """
     v = model.mesh.element_volumes()
@@ -136,6 +140,9 @@ def outer_loop(model, config, method, select):
         t0 = time.perf_counter()
         u = solve_equilibrium(model, rho, strict=False)
         t1 = time.perf_counter()
+        if u.residual > RESIDUAL_TOL:
+            log.warning("%s step %d: equilibrium residual %.3e exceeds %g",
+                        method, gamma, u.residual, RESIDUAL_TOL)
         w = stored_energy_gains(model, rho, u)
         V_g = volume_schedule(V_g, config.mu, config.volfrac)
         rho_new, fields = select(w, v, V_g, rho)

@@ -269,6 +269,30 @@ def test_main_usage_error_exit_code():
     assert cli.main(["run", "--nope"]) == 1
 
 
+def test_main_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--method", "cdt", "--nelx", "30", "--nely", "10"],
+    ["run", "--method", "simp", "--nelx", "30", "--nely", "10"],
+    ["probe", "--sizes", "12x4"],
+], ids=["run-cdt", "run-simp", "probe"])
+def test_main_unusable_out_is_a_usage_error_before_any_solve(
+        tmp_path, monkeypatch, capsys, args):
+    for module in (driver, baselines):
+        monkeypatch.setattr(module, "solve_equilibrium",
+                            lambda *a, **k: pytest.fail("a solve ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 def test_main_solver_error_exit_code(tmp_path):
     assert cli.main(["demo", "--name", "truss", "--epsilon", "0",
                      "--no-perturb", "--out", str(tmp_path)]) == 2
@@ -282,16 +306,28 @@ def test_main_demo_double_well(tmp_path, capsys):
     assert "global_min" in capsys.readouterr().out
 
 
-def test_python_dash_m_cdtopt_runs_the_cli(tmp_path):
+def python_dash_m_cdtopt(*args):
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cdtopt", "demo", "--name", "buridan", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "cdtopt", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_cdtopt_runs_the_cli(tmp_path):
+    proc = python_dash_m_cdtopt("demo", "--name", "buridan", "--out", str(tmp_path))
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "unique True" in proc.stdout
+
+
+def test_cli_run_is_quiet_on_a_step_that_misses_the_residual_bound(tmp_path):
+    # cantilever 16x6 at vf 0.5, mu 0.95 logs a warning for step 12; the
+    # package's NullHandler keeps Python's last-resort handler off stderr
+    proc = python_dash_m_cdtopt("run", "--problem", "cantilever", "--nelx", "16", "--nely", "6",
+                                "--volfrac", "0.5", "--mu", "0.95", "--out", str(tmp_path))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_main_demo_simp_surface(tmp_path):

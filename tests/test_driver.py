@@ -1,4 +1,7 @@
+import hashlib
 import importlib.util
+import json
+import logging
 import math
 from pathlib import Path
 
@@ -123,6 +126,14 @@ def test_rows_record_the_equilibrium_residual_of_each_step():
     assert all(0.0 <= r <= 1e-10 for r in residuals.values())
 
 
+def test_outer_loop_logs_the_steps_that_miss_the_residual_bound(caplog):
+    with caplog.at_level(logging.WARNING, logger="cdtopt.driver"):
+        run_cdt(build_cantilever2d(16, 6), CdtConfig(volfrac=0.5, mu=0.95))
+    warnings = [r.getMessage() for r in caplog.records if r.name == "cdtopt.driver"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("cdt step 12: equilibrium residual 8.3")
+
+
 def test_benchmark_tracing_hooks_reach_the_outer_loop():
     # perfbench/tracing.py swaps module globals of cdtopt.driver and
     # cdtopt.baselines by name; the shared loop must keep calling through them
@@ -164,3 +175,28 @@ def test_cdt_3d_ladder_case_matches_reference():
     assert record.converged
     assert record.outer_iterations == 32
     assert record.final_compliance == pytest.approx(26.5434089081, rel=1e-10)
+
+
+def design_sha256(rho):
+    # as perfbench/checks.py hashes a binary design
+    return hashlib.sha256(rho.astype(np.uint8).tobytes()).hexdigest()
+
+
+def test_cdt_cantilever_ladder_case_matches_bench_reference():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(path.read_text())["cdt-cantilever-2d"]
+    density, _, record = run_cdt(build_cantilever2d(120, 40), CdtConfig(volfrac=0.5, mu=0.97))
+    assert record.converged
+    assert record.outer_iterations == ref["outer_iters"] == 25
+    assert design_sha256(density.rho) == ref["design_sha256"]
+    assert record.final_compliance == pytest.approx(ref["compliance"], rel=1e-10)
+
+
+def test_cdt_mbb_ladder_case_keeps_its_design():
+    # recorded before refinement stopped at fem.RESIDUAL_TOL; no bench reference covers it
+    density, _, record = run_cdt(build_mbb(60, 20), CdtConfig(volfrac=0.4, mu=0.97))
+    assert record.converged
+    assert record.outer_iterations == 32
+    assert design_sha256(density.rho) == (
+        "80c8f50caedd85edbf6afd0a1979345c1efdee213850703b5eb8428647fefec9")
+    assert record.final_compliance == pytest.approx(133.72769386976253, rel=1e-10)

@@ -309,20 +309,62 @@ def test_failed_factor_raises_without_cg(monkeypatch):
             fem.solve_equilibrium(model, rho, strict=strict)
 
 
+def counted_triangular_solves(monkeypatch):
+    # every solution returned by fem.cho_solve_banded, in call order
+    solutions = []
+    solve = fem.cho_solve_banded
+
+    def counting(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(fem, "cho_solve_banded", counting)
+    return solutions
+
+
 def test_strict_solve_raises_with_the_refined_residual(monkeypatch):
     # a transient CDT design (cantilever 16x6, vf 0.5, mu 0.95, step 12)
-    # whose refined residual misses 1e-10
+    # whose first residual misses 1e-10, so refinement runs, and whose
+    # refined residual misses it too
     model = build_cantilever2d(16, 6)
     rho = np.ones(model.n_elements)
     rho[[2, 3, 8, 9, 14, 15, 20, 27, 31, 33, 37, 38, 44, 46, 49, 51, 55, 56, 58, 61, 63,
          64, 68, 69, 70, 72, 74, 75, 76, 78, 79, 81, 82, 84, 85, 86, 88, 89, 90, 91, 92,
          93]] = 0.0
     monkeypatch.setattr(fem.spla, "cg", lambda *a, **k: pytest.fail("CG ran"))
+    solutions = counted_triangular_solves(monkeypatch)
     disp = fem.solve_equilibrium(model, rho, strict=False)
-    assert 1e-10 < disp.residual < 1e-6
+    assert len(solutions) > 1
+    assert disp.residual == pytest.approx(8.3e-8, rel=0.02)
     with pytest.raises(fem.SolverBreakdown) as info:
         fem.solve_equilibrium(model, rho)
     assert info.value.residual == disp.residual
+
+
+def hole_layout(model):
+    rho = np.ones(model.n_elements)
+    rho[model.mesh.element_ids()[10:20, 3:7].ravel()] = 0.0
+    return rho
+
+
+@pytest.mark.parametrize("layout,penal", [
+    (lambda m: np.ones(m.n_elements), 1.0),
+    (lambda m: np.random.default_rng(5).uniform(0.0, 1.0, m.n_elements), 3.0),
+    (hole_layout, 1.0),
+], ids=["solid", "random-penal3", "void-hole"])
+def test_solve_meeting_the_bound_first_is_one_triangular_solve(monkeypatch, layout, penal):
+    model = build_cantilever2d(30, 10)
+    rho = layout(model)
+    solutions = counted_triangular_solves(monkeypatch)
+    disp = fem.solve_equilibrium(model, rho, penal)
+    # first residual from the sparse assembly oracle, in band order
+    free = fem._layout(model).free
+    K = fem.assemble(model, rho, penal)[free][:, free]
+    f = model.load[free]
+    first = np.linalg.norm(f - K @ solutions[0]) / np.linalg.norm(f)
+    assert first <= fem.RESIDUAL_TOL
+    assert len(solutions) == 1
+    assert disp.residual == pytest.approx(first, rel=0.1)
 
 
 def test_band_layout_built_once_per_model(monkeypatch):
