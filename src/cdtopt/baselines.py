@@ -1,7 +1,8 @@
 """Reference methods: penalized continuous densities with optimality-criteria
 updates (SIMP), and the greedy keep-the-most-energetic-elements scheme (BESO)
 run in the dual solver's outer loop.  :data:`METHODS` names every method
-for the command line and the wall-time probe.
+for the command line; :func:`method_config` builds a method's config, and
+checks every value, before :func:`run_method` runs it.
 """
 
 from __future__ import annotations
@@ -15,20 +16,18 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from . import knapsack
-from .driver import CdtConfig, IterationRecord, RunRecord, outer_loop, run_cdt
+from .driver import CdtConfig, IterationRecord, RunRecord, check_volfrac, outer_loop, run_cdt
 # assemble stays bound: the benchmark's tracer wraps baselines.assemble by name
 from .fem import assemble, compliance, element_energies, moduli, solve_equilibrium  # noqa: F401
-from .problems import build_cantilever2d
 
 __all__ = [
     "SimpConfig",
-    "CostRow",
     "run_simp",
     "run_beso",
     "beso_select",
     "METHODS",
+    "method_config",
     "run_method",
-    "per_iteration_cost_probe",
 ]
 
 
@@ -111,8 +110,7 @@ def run_simp(model, volfrac, config=None):
     the iteration cap is reported through record.converged, not raised.
     """
     cfg = config or SimpConfig()
-    if not 0.0 < volfrac <= 1.0:
-        raise ValueError("volfrac must lie in (0, 1]")
+    check_volfrac(volfrac)
     mesh, mat = model.mesh, model.material
     n = mesh.n_elements
     v = mesh.element_volumes()
@@ -190,53 +188,20 @@ METHODS = {
 }
 
 
-def run_method(name, model, options):
-    """Run method ``name`` of :data:`METHODS`; returns (densities, RunRecord).
-    ``options`` holds volfrac and sets each config field it names."""
-    config_cls, run = METHODS[name]
-    config = config_cls(**{f.name: options[f.name] for f in fields(config_cls)
-                           if f.name in options})
-    design, _, record = run(model, options["volfrac"], config)
+def method_config(name, options):
+    """Config of method ``name`` of :data:`METHODS`, with each field that
+    ``options`` names set from it.  Raises ValueError on any value out of
+    range, ``options["volfrac"]`` included, before anything runs."""
+    config_cls, _ = METHODS[name]
+    check_volfrac(options["volfrac"])
+    return config_cls(**{f.name: options[f.name] for f in fields(config_cls)
+                         if f.name in options})
+
+
+def run_method(name, model, volfrac, config):
+    """Run method ``name`` of :data:`METHODS` with ``config`` (from
+    :func:`method_config`); returns (densities, RunRecord)."""
+    design, _, record = METHODS[name][1](model, volfrac, config)
     if isinstance(design, knapsack.BinaryDensity):
         design = design.rho
     return design, record
-
-
-@dataclass(frozen=True)
-class CostRow:
-    method: str
-    nelx: int
-    nely: int
-    n_elements: int
-    outer_iters: int
-    total_s: float
-    fem_s: float
-    update_s: float
-
-
-def per_iteration_cost_probe(mesh_sizes, volfrac=0.5, mu=0.97, methods=("cdt", "beso")):
-    """Wall-time comparison across mesh sizes.
-
-    ``mesh_sizes`` is a sequence of (nelx, nely); each method of
-    :data:`METHODS` is run to convergence on the long cantilever and one
-    CostRow per (method, mesh) is returned.
-    """
-    options = {"volfrac": volfrac, "mu": mu}
-    rows = []
-    for nelx, nely in mesh_sizes:
-        model = build_cantilever2d(nelx, nely)
-        for method in methods:
-            t0 = time.perf_counter()
-            _, rec = run_method(method, model, options)
-            total = time.perf_counter() - t0
-            rows.append(CostRow(
-                method=method,
-                nelx=nelx,
-                nely=nely,
-                n_elements=model.mesh.n_elements,
-                outer_iters=rec.outer_iterations,
-                total_s=total,
-                fem_s=sum(r.fem_ms for r in rec.rows) * 1e-3,
-                update_s=sum(r.update_ms for r in rec.rows) * 1e-3,
-            ))
-    return rows

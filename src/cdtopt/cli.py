@@ -1,10 +1,11 @@
 """Command-line interface and output serialization.
 
 Subcommands: ``run`` (a benchmark with one method), ``demo`` (the
-closed-form studies), ``probe`` (wall-time sweep).  Densities are written
-as portable graymaps, convergence logs as CSV.  A plain ``key = value``
-config file can seed any flag; explicit flags win.  Exit codes: 0 success,
-1 usage error, 2 solver error.
+closed-form studies), ``probe`` (wall time per method across cantilever
+sizes).  Densities are written as portable graymaps, convergence logs as
+CSV.  A plain ``key = value`` config file can seed any flag; explicit flags
+win.  Exit codes: 0 success, 1 usage error (nothing runs and no output
+directory is created), 2 solver error.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ import math
 import os
 import re
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic, knapsack
-from .baselines import METHODS, per_iteration_cost_probe, run_method
+from .baselines import METHODS, method_config, run_method
 from .driver import DriverError
 from .fem import FemError, Material
-from .problems import PROBLEMS
+from .problems import PROBLEMS, build_cantilever2d
 
 __all__ = [
     "UsageError",
@@ -238,8 +240,9 @@ def _cmd_run(options):
     material = Material(E=options["E"], nu=options["nu"], E_min=options["emin"])
     model = PROBLEMS[options["problem"]](*dims, load=options["load"], material=material)
     method = options["method"]
+    config = method_config(method, options)
     out = _out_dir(options)
-    rho, record = run_method(method, model, options)
+    rho, record = run_method(method, model, options["volfrac"], config)
     tag = f"{options['problem']}_{method}"
     write_density_pgm(rho, model.mesh, os.path.join(out, f"{tag}_density.pgm"),
                       ascii_format=options.get("ascii_pgm", False))
@@ -252,7 +255,6 @@ def _cmd_run(options):
 
 
 def _cmd_demo(options):
-    out = _out_dir(options)
     name = options["name"]
     perturb = not options.get("no_perturb", False)
     if name == "buridan":
@@ -269,14 +271,14 @@ def _cmd_demo(options):
         res = analytic.simp_counterexample(options["a"], options["b"],
                                            p=options["p"],
                                            grid_resolution=options["resolution"])
-        path = _write_csv(os.path.join(out, "simp_surface.csv"),
+        path = _write_csv(os.path.join(_out_dir(options), "simp_surface.csv"),
                           ["rho1", "rho2", "value"], res.grid)
         print(f"boundary argmin {res.argmin} minima {res.minima} -> {path}")
     else:
         spec = analytic.DoubleWellSpec(beta=options["beta"], lam=options["lam"],
                                        f=(options["f"],))
         res = analytic.double_well_triality(spec)
-        _write_csv(os.path.join(out, "double_well_roots.csv"),
+        _write_csv(os.path.join(_out_dir(options), "double_well_roots.csv"),
                    ["varsigma", "x", "potential", "dual_potential", "kind"],
                    ([root.varsigma, root.x[0], root.potential, root.dual_potential,
                      root.kind] for root in res.roots))
@@ -289,22 +291,29 @@ def _cmd_demo(options):
 
 
 def _cmd_probe(options):
-    sizes = []
+    models = []
     for token in options["sizes"].split(","):
-        nelx, nely = token.lower().split("x")
-        sizes.append((int(nelx), int(nely)))
-    methods = tuple(options["methods"].split(","))
+        try:
+            nelx, nely = (int(n) for n in token.lower().split("x"))
+        except ValueError:
+            raise ValueError(f"mesh size {token!r} is not of the form NELXxNELY") from None
+        models.append(build_cantilever2d(nelx, nely))
+    configs = [(m, method_config(m, options)) for m in options["methods"].split(",")]
     out = _out_dir(options)
-    rows = per_iteration_cost_probe(sizes, volfrac=options["volfrac"],
-                                    mu=options["mu"], methods=methods)
+    rows = []
+    for model in models:
+        for method, config in configs:
+            t0 = time.perf_counter()
+            _, rec = run_method(method, model, options["volfrac"], config)
+            rows.append([method, *model.mesh.dims, model.n_elements, rec.outer_iterations,
+                         time.perf_counter() - t0,
+                         sum(r.fem_ms for r in rec.rows) * 1e-3,
+                         sum(r.update_ms for r in rec.rows) * 1e-3])
     path = _write_csv(os.path.join(out, "cost_probe.csv"),
                       ["method", "nelx", "nely", "n_elements", "outer_iters",
-                       "total_s", "fem_s", "update_s"],
-                      ([r.method, r.nelx, r.nely, r.n_elements, r.outer_iters,
-                        r.total_s, r.fem_s, r.update_s] for r in rows))
-    for r in rows:
-        print(f"{r.method} {r.nelx}x{r.nely}: {r.outer_iters} iters "
-              f"{r.total_s:.3f}s")
+                       "total_s", "fem_s", "update_s"], rows)
+    for method, nelx, nely, _, iters, total_s, *_ in rows:
+        print(f"{method} {nelx}x{nely}: {iters} iters {total_s:.3f}s")
     print(path)
     return 0
 

@@ -25,6 +25,7 @@ from .fem import RESIDUAL_TOL, compliance, element_energies, moduli, solve_equil
 __all__ = [
     "DriverError",
     "MaxOuterExceeded",
+    "check_volfrac",
     "CdtConfig",
     "IterationRecord",
     "RunRecord",
@@ -49,6 +50,12 @@ class MaxOuterExceeded(DriverError):
         self.record = record
 
 
+def check_volfrac(volfrac):
+    """The volume-fraction rule of every method: raise unless in (0, 1]."""
+    if not 0.0 < volfrac <= 1.0:
+        raise ValueError("volfrac must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class CdtConfig:
     """Outer-loop parameters of CDT and BESO (volume fraction, schedule, stop)."""
@@ -59,8 +66,7 @@ class CdtConfig:
     max_outer: int = 2000
 
     def __post_init__(self):
-        if not 0.0 < self.volfrac <= 1.0:
-            raise ValueError("volfrac must lie in (0, 1]")
+        check_volfrac(self.volfrac)
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
         if self.volfrac < 1.0 and self.mu <= self.volfrac:

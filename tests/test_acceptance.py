@@ -4,15 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  Time limits are asserted alongside the numeric tolerances.
 """
 
+import csv
 import math
 import time
 
 import numpy as np
 import pytest
 
-from cdtopt import analytic, fem, knapsack
-from cdtopt.baselines import SimpConfig, beso_select, \
-    per_iteration_cost_probe, run_beso, run_simp
+from cdtopt import analytic, cli, fem, knapsack
+from cdtopt.baselines import SimpConfig, beso_select, run_beso, run_simp
 from cdtopt.driver import CdtConfig, run_cdt, stored_energy_gains, volume_schedule
 from cdtopt.problems import build_cantilever2d, build_cantilever3d, build_mbb
 
@@ -247,13 +247,17 @@ def test_criterion_10_fem_correctness():
            f"(patch error {err:.1e}, energy identity gap {worst_gap:.1e})")
 
 
-def test_cost_probe_smoke_bound():
-    # stand-in for the paper's wall-clock comparisons: both methods finish
-    # the mesh sweep comfortably
+def test_cost_probe_smoke_bound(tmp_path):
+    # stand-in for the paper's wall-clock comparisons: with its defaults
+    # (vf 0.5, mu 0.97, cdt and beso), `cdtopt probe` finishes the sweep
     t0 = time.perf_counter()
-    rows = per_iteration_cost_probe([(20, 8), (40, 16), (60, 24), (80, 30)],
-                                    volfrac=0.5, mu=0.97)
+    code = cli.main(["probe", "--out", str(tmp_path)])
     elapsed = time.perf_counter() - t0
-    ok = len(rows) == 8 and all(r.outer_iters > 0 for r in rows)
+    assert code == 0
+    with open(tmp_path / "cost_probe.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    sizes = [(int(r["nelx"]), int(r["nely"])) for r in rows]
+    ok = (sizes == [size for size in [(20, 8), (40, 16), (60, 24), (80, 30)] for _ in range(2)]
+          and all(int(r["outer_iters"]) > 0 for r in rows))
     report("cost probe sweep 20x8..80x30", elapsed, 300.0, ok,
-           f"({sum(r.total_s for r in rows):.1f}s across {len(rows)} runs)")
+           f"({sum(float(r['total_s']) for r in rows):.1f}s across {len(rows)} runs)")

@@ -1,12 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 
-from cdtopt import fem, knapsack
+from cdtopt import cli, fem, knapsack
 from cdtopt.baselines import (
     _element_centroids,
     SimpConfig,
     beso_select,
-    per_iteration_cost_probe,
     run_beso,
     run_simp,
 )
@@ -142,13 +143,17 @@ def test_element_centroids_are_element_centres(dims):
 # cost probe
 # ---------------------------------------------------------------------------
 
-def test_cost_probe_rows_and_speed():
-    rows = per_iteration_cost_probe([(16, 6), (24, 10)], volfrac=0.5, mu=0.95)
+def test_cost_probe_rows_and_speed(tmp_path):
+    assert cli.main(["probe", "--sizes", "16x6,24x10", "--volfrac", "0.5", "--mu", "0.95",
+                     "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "cost_probe.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4  # one row per (method, mesh)
-    seen = {(r.method, r.nelx, r.nely) for r in rows}
+    seen = {(r["method"], r["nelx"], r["nely"]) for r in rows}
     assert len(seen) == 4
     for r in rows:
-        assert r.total_s > 0.0 and r.outer_iters > 0
+        iters, n = int(r["outer_iters"]), int(r["n_elements"])
+        assert float(r["total_s"]) > 0.0 and iters > 0
         # the selection update stays cheap relative to mesh size
-        per_element = r.update_s / (r.outer_iters * r.n_elements)
+        per_element = float(r["update_s"]) / (iters * n)
         assert per_element < 5e-5  # seconds per element per outer step

@@ -264,9 +264,31 @@ def test_main_run_cdt_small_load_matches_beso(tmp_path):
     assert cdt == (tmp_path / "cantilever_beso_density.pgm").read_bytes()
 
 
-def test_main_usage_error_exit_code():
+def test_main_usage_error_exit_code(tmp_path, monkeypatch):
+    # without --out the default ./out would appear in the working directory
+    monkeypatch.chdir(tmp_path)
     assert cli.main(["run", "--volfrac", "1.5"]) == 1
     assert cli.main(["run", "--nope"]) == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--method", "simp", "--volfrac", "1.5"],
+    ["probe", "--sizes", "12x4", "--volfrac", "1.5"],
+    ["probe", "--sizes", "12x4,0x4"],
+    ["probe", "--sizes", "12x4", "--methods", "simp,cdt", "--volfrac", "0.5", "--mu", "0.4"],
+], ids=["run-simp-volfrac", "probe-volfrac", "probe-second-size", "probe-second-method"])
+def test_main_usage_error_runs_nothing_and_creates_no_directory(
+        tmp_path, monkeypatch, capsys, args):
+    # every model and config is built before the output directory
+    for module in (driver, baselines):
+        monkeypatch.setattr(module, "solve_equilibrium",
+                            lambda *a, **k: pytest.fail("a solve ran"))
+    out = tmp_path / "out"
+    assert cli.main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_main_missing_config_file_is_a_usage_error(tmp_path, capsys):
@@ -296,6 +318,19 @@ def test_main_unusable_out_is_a_usage_error_before_any_solve(
 def test_main_solver_error_exit_code(tmp_path):
     assert cli.main(["demo", "--name", "truss", "--epsilon", "0",
                      "--no-perturb", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("args,code", [
+    (["--name", "buridan"], 0),
+    (["--name", "truss"], 0),
+    (["--name", "double-well", "--beta", "-1"], 1),
+], ids=["buridan", "truss", "double-well-bad-beta"])
+def test_demo_without_a_file_to_write_creates_no_directory(tmp_path, monkeypatch, args, code):
+    # only simp-surface and double-well write, and only once they have a result
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    assert cli.main(["demo", *args]) == code
+    assert not list(tmp_path.iterdir())
 
 
 def test_main_demo_double_well(tmp_path, capsys):
@@ -364,7 +399,11 @@ def test_main_probe_runs_simp(tmp_path):
     assert float(rows[0]["fem_s"]) > 0.0 and float(rows[0]["update_s"]) > 0.0
 
 
-def test_probe_rejects_unknown_method_before_running(tmp_path):
+def test_probe_rejects_unknown_method_before_running(tmp_path, monkeypatch, capsys):
+    # a malformed --sizes token is refused as early, by name
+    for module in (driver, baselines):
+        monkeypatch.setattr(module, "solve_equilibrium",
+                            lambda *a, **k: pytest.fail("a solve ran"))
     with pytest.raises(cli.UsageError, match="bogus"):
         cli.parse_cli(["probe", "--sizes", "8x4", "--methods", "cdt,bogus"])
     cfg = tmp_path / "probe.cfg"
@@ -375,3 +414,9 @@ def test_probe_rejects_unknown_method_before_running(tmp_path):
                      "--out", str(tmp_path)])
     assert code == 1
     assert not (tmp_path / "cost_probe.csv").exists()
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["probe", "--sizes", "12x4,8y4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: mesh size '8y4' is not of the form NELXxNELY\n"
+    assert not out.exists()
