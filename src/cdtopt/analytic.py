@@ -41,8 +41,8 @@ class TrussSpec:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError("group stiffness constants must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError("group stiffness constants a and b must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,11 @@ class DoubleWellSpec:
     f: tuple = (0.5,)
 
     def __post_init__(self):
-        if not (self.beta > 0.0 and self.lam > 0.0):
-            raise ValueError("beta and lam must be positive")
+        if not (0.0 < self.beta < math.inf and 0.0 < self.lam < math.inf):
+            raise ValueError("beta and lam must be finite and positive")
         object.__setattr__(self, "f", tuple(float(x) for x in self.f))
+        if not all(map(math.isfinite, self.f)):
+            raise ValueError("f must be finite")
 
     @property
     def n(self):
@@ -154,17 +156,21 @@ def simp_counterexample(a, b, f=(1.0, 1.0), p=2.0, grid_resolution=1e-4):
     """Sample the penalized compliance on (0,1]^2 and minimize it on the
     material-budget boundary rho1 + rho2 = 1.
 
-    Boundary minima are located with a scan at ``grid_resolution`` plus
-    golden-section refinement; endpoints count as candidates.
+    Boundary minima are located with a scan at ``grid_resolution``, which
+    samples both endpoints as candidates, plus golden-section refinement.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("material constants must be positive")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("material constants a and b must be finite and positive")
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
+    if not 0.0 < grid_resolution <= 0.5:
+        raise ValueError("grid resolution must lie in (0, 0.5]")
     val = _penalized_compliance(a, b, f, p)
     side = np.linspace(0.05, 1.0, 39)
     r1g, r2g = np.meshgrid(side, side, indexing="ij")
     grid = np.column_stack([r1g.ravel(), r2g.ravel(),
                             val(r1g, r2g).ravel()])
-    t = np.arange(0.0, 1.0 + grid_resolution / 2, grid_resolution)
+    t = np.append(np.arange(0.0, 1.0 - grid_resolution / 2, grid_resolution), 1.0)
     g = val(t, 1.0 - t)
     minima = []
     if g[0] < g[1]:

@@ -49,10 +49,10 @@ class SimpConfig:
     max_outer: int = 2000
 
     def __post_init__(self):
-        if self.penal < 1.0:
-            raise ValueError("penal must be >= 1")
-        if self.rmin < 1.0:
-            raise ValueError("rmin must be >= 1")
+        if not 1.0 <= self.penal < math.inf:
+            raise ValueError("penal must be finite and >= 1")
+        if not 1.0 <= self.rmin < math.inf:
+            raise ValueError("rmin must be finite and >= 1")
         if self.ft not in (0, 1):
             raise ValueError("ft must be 0 or 1")
         if not self.omega2 > 0.0:
@@ -61,15 +61,9 @@ class SimpConfig:
             raise ValueError("max_outer must be >= 1")
 
 
-def _element_centroids(mesh):
-    # grid position of each element, in element-number order, plus a half
-    at = np.unravel_index(np.argsort(mesh.element_ids(), axis=None), mesh.dims)
-    return np.column_stack(at) + 0.5
-
-
 def _filter_matrix(mesh, rmin):
     """Sparse H with H_ij = max(0, rmin - dist(centroid_i, centroid_j))."""
-    pts = _element_centroids(mesh)
+    pts = mesh.element_positions + 0.5
     tree = cKDTree(pts)
     pairs = tree.query_pairs(rmin, output_type="ndarray")
     if pairs.size:

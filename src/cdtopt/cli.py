@@ -301,17 +301,19 @@ def _cmd_probe(options):
     configs = [(m, method_config(m, options)) for m in options["methods"].split(",")]
     out = _out_dir(options)
     rows = []
-    for model in models:
-        for method, config in configs:
-            t0 = time.perf_counter()
-            _, rec = run_method(method, model, options["volfrac"], config)
-            rows.append([method, *model.mesh.dims, model.n_elements, rec.outer_iterations,
-                         time.perf_counter() - t0,
-                         sum(r.fem_ms for r in rec.rows) * 1e-3,
-                         sum(r.update_ms for r in rec.rows) * 1e-3])
-    path = _write_csv(os.path.join(out, "cost_probe.csv"),
-                      ["method", "nelx", "nely", "n_elements", "outer_iters",
-                       "total_s", "fem_s", "update_s"], rows)
+    try:
+        for model in models:
+            for method, config in configs:
+                t0 = time.perf_counter()
+                _, rec = run_method(method, model, options["volfrac"], config)
+                rows.append([method, *model.mesh.dims, model.n_elements, rec.outer_iterations,
+                             time.perf_counter() - t0,
+                             sum(r.fem_ms for r in rec.rows) * 1e-3,
+                             sum(r.update_ms for r in rec.rows) * 1e-3])
+    finally:  # the runs that finished keep their rows when a later one fails
+        path = _write_csv(os.path.join(out, "cost_probe.csv"),
+                          ["method", "nelx", "nely", "n_elements", "outer_iters",
+                           "total_s", "fem_s", "update_s"], rows)
     for method, nelx, nely, _, iters, total_s, *_ in rows:
         print(f"{method} {nelx}x{nely}: {iters} iters {total_s:.3f}s")
     print(path)

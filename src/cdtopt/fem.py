@@ -25,7 +25,7 @@ design domain always has unit volume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "Displacement",
     "element_stiffness_2d",
     "element_stiffness_3d",
-    "element_dof_map",
     "moduli",
     "assemble",
     "free_dofs",
@@ -108,6 +107,26 @@ class Mesh:
         """Global element numbers indexed by grid position (ei, ej[, ek])."""
         return _grid_numbers(self.dims)
 
+    @cached_property
+    def element_positions(self):
+        """(n_elements, ndim) grid position (ei, ej[, ek]) of each element,
+        in element-number order; built on first use."""
+        at = np.unravel_index(np.argsort(self.element_ids(), axis=None), self.dims)
+        at = np.column_stack(at)
+        at.flags.writeable = False
+        return at
+
+    @cached_property
+    def element_dofs(self):
+        """(n_elements, dofs-per-element) global dof indices; built on first use."""
+        ndim = self.ndim
+        corners = _CORNERS[:2 ** ndim, :ndim].T
+        at = self.element_positions.T
+        nodes = self.node_ids()[tuple(p[:, None] + c for p, c in zip(at, corners))]
+        edof = (ndim * nodes[:, :, None] + np.arange(ndim)).reshape(self.n_elements, -1)
+        edof.flags.writeable = False
+        return edof
+
 
 def _grid_numbers(shape):
     # x-major then y within a z-layer; the z-layer is outermost
@@ -131,8 +150,8 @@ class Material:
     E_min: float = 1e-9
 
     def __post_init__(self):
-        if not (self.E > self.E_min > 0.0):
-            raise ValueError("need E > E_min > 0")
+        if not (np.inf > self.E > self.E_min > 0.0):
+            raise ValueError("need finite E > E_min > 0")
         if not (0.0 <= self.nu < 0.5):
             raise ValueError("need 0 <= nu < 0.5")
 
@@ -166,6 +185,52 @@ class StructuralModel:
     @property
     def n_elements(self):
         return self.mesh.n_elements
+
+    @cached_property
+    def ke(self):
+        """Unit-modulus element stiffness; built on first use."""
+        ke = (element_stiffness_2d if self.mesh.ndim == 2 else element_stiffness_3d)(self.material)
+        ke.flags.writeable = False
+        return ke
+
+    @cached_property
+    def band_layout(self):
+        """Free dofs in band order and the scatter maps into LAPACK band
+        storage; built on the first solve and kept for the model's life.
+
+        ``free[p]`` is the global dof at band position p.  ``pos`` maps each
+        element dof to its band position, or to the spare slot ``free.size``
+        for a fixed dof.  ``band_index`` sends the upper-triangle entries
+        ``ke[pairs]`` of every element into the flattened column-major upper
+        band of half-width ``width``, or to a spare slot past its end.
+        """
+        # Number the nodes with the longest axis outermost (ties keep x
+        # before y before z) and the components innermost: neighbouring
+        # nodes then lie at most one slab of the shorter axes apart, which
+        # bounds the band half-width.  A 2-D mesh with nelx >= nely keeps its
+        # natural numbering.
+        mesh = self.mesh
+        dims, ndim = mesh.dims, mesh.ndim
+        outer_first = sorted(range(ndim), key=lambda a: -dims[a])
+        nodes = np.transpose(mesh.node_ids(), outer_first).ravel()
+        order = (ndim * nodes[:, None] + np.arange(ndim)).ravel()
+        is_fixed = np.zeros(order.size, dtype=bool)
+        is_fixed[self.fixed_dofs] = True
+        free = order[~is_fixed[order]]
+        n = free.size
+        where = np.full(order.size, n, dtype=np.int64)
+        where[free] = np.arange(n)
+        pos = where[mesh.element_dofs]
+        a, b = np.triu_indices(pos.shape[1])
+        pa, pb = pos[:, a], pos[:, b]
+        lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
+        both = hi < n
+        width = int((hi - lo)[both].max(initial=0))
+        band_index = np.where(both, width + lo - hi + (width + 1) * hi, (width + 1) * n)
+        for arr in (free, pos, a, b, band_index):
+            arr.flags.writeable = False
+        return SimpleNamespace(free=free, pos=pos, pairs=(a, b), band_index=band_index.ravel(),
+                               width=width)
 
 
 @dataclass(frozen=True)
@@ -267,27 +332,6 @@ def _h8_shape_gradients(x, y, z, nodes):
     return dN
 
 
-@lru_cache(maxsize=32)
-def element_dof_map(dims):
-    """(n_elements, dofs-per-element) array of global dof indices."""
-    mesh = Mesh(dims)
-    ndim = mesh.ndim
-    # grid position of each element, in element-number order
-    at = np.unravel_index(np.argsort(mesh.element_ids(), axis=None), mesh.dims)
-    corners = _CORNERS[:2 ** ndim, :ndim]
-    nodes = mesh.node_ids()[tuple(p[:, None] + c for p, c in zip(at, corners.T))]
-    edof = (ndim * nodes[:, :, None] + np.arange(ndim)).reshape(mesh.n_elements, -1)
-    edof.flags.writeable = False
-    return edof
-
-
-@lru_cache(maxsize=32)
-def _unit_ke(mesh, material):
-    ke = element_stiffness_2d(material) if mesh.ndim == 2 else element_stiffness_3d(material)
-    ke.flags.writeable = False
-    return ke
-
-
 def moduli(model, rho, penal):
     """Element moduli E_min + (E - E_min) rho^penal after checking rho."""
     mesh, mat = model.mesh, model.material
@@ -309,8 +353,7 @@ def assemble(model, rho, penal=1.0):
     """
     mesh = model.mesh
     scale = moduli(model, rho, penal)
-    ke = _unit_ke(mesh, model.material)
-    edof = element_dof_map(mesh.dims)
+    ke, edof = model.ke, mesh.element_dofs
     m = ke.shape[0]
     data = (scale[:, None, None] * ke[None, :, :]).ravel()
     rows = np.repeat(edof, m, axis=1).ravel()
@@ -321,49 +364,6 @@ def assemble(model, rho, penal=1.0):
 
 def free_dofs(model):
     return np.setdiff1d(np.arange(model.mesh.n_dofs), model.fixed_dofs)
-
-
-@lru_cache(maxsize=8)
-def _band_layout(dims, fixed_key):
-    """Free dofs in band order and the scatter maps into LAPACK band storage.
-
-    ``free[p]`` is the global dof at band position p.  ``pos`` maps each
-    element dof to its band position, or to the spare slot ``free.size``
-    for a fixed dof.  ``band_index`` sends the upper-triangle entries
-    ``ke[pairs]`` of every element into the flattened column-major upper
-    band of half-width ``width``, or to a spare slot past its end.
-    """
-    # Number the nodes with the longest axis outermost (ties keep x
-    # before y before z) and the components innermost: neighbouring
-    # nodes then lie at most one slab of the shorter axes apart, which
-    # bounds the band half-width.  A 2-D mesh with nelx >= nely keeps its
-    # natural numbering.
-    ndim = len(dims)
-    fixed = np.frombuffer(fixed_key, dtype=np.int64)
-    outer_first = sorted(range(ndim), key=lambda a: -dims[a])
-    nodes = np.transpose(Mesh(dims).node_ids(), outer_first).ravel()
-    order = (ndim * nodes[:, None] + np.arange(ndim)).ravel()
-    is_fixed = np.zeros(order.size, dtype=bool)
-    is_fixed[fixed] = True
-    free = order[~is_fixed[order]]
-    n = free.size
-    where = np.full(order.size, n, dtype=np.int64)
-    where[free] = np.arange(n)
-    pos = where[element_dof_map(dims)]
-    a, b = np.triu_indices(pos.shape[1])
-    pa, pb = pos[:, a], pos[:, b]
-    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
-    both = hi < n
-    width = int((hi - lo)[both].max(initial=0))
-    band_index = np.where(both, width + lo - hi + (width + 1) * hi, (width + 1) * n)
-    for arr in (free, pos, a, b, band_index):
-        arr.flags.writeable = False
-    return SimpleNamespace(free=free, pos=pos, pairs=(a, b), band_index=band_index.ravel(),
-                           width=width)
-
-
-def _layout(model):
-    return _band_layout(model.mesh.dims, model.fixed_dofs.astype(np.int64).tobytes())
 
 
 def _stiffness_product(layout, scale, ke, x):
@@ -379,7 +379,7 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
 
     Banded Cholesky factorization, refined only while the relative residual
     on free dofs exceeds :data:`RESIDUAL_TOL` and each step lowers it; the
-    band layout is built once per mesh and support set.  A failed factor,
+    band layout is built once per model, on its first solve.  A failed factor,
     or a residual still above the bound, raises :class:`SolverBreakdown`.
 
     ``strict=False`` returns the refined solution whatever its residual:
@@ -389,7 +389,7 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
     factor raises either way.
     """
     scale = moduli(model, rho, penal)
-    layout = _layout(model)
+    layout = model.band_layout
     free, width = layout.free, layout.width
     n = free.size
     u = np.zeros(model.mesh.n_dofs)
@@ -397,7 +397,7 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
     fnorm = float(np.linalg.norm(f_free))
     if fnorm == 0.0:
         return Displacement(u, 0.0)
-    ke = _unit_ke(model.mesh, model.material)
+    ke = model.ke
     weights = (scale[:, None] * ke[layout.pairs][None, :]).ravel()
     band = np.bincount(layout.band_index, weights, minlength=(width + 1) * n + 1)
     band = band[:-1].reshape((width + 1, n), order="F")
@@ -437,11 +437,9 @@ def element_energies(model, u):
     The gain measures what each element would store under the current
     displacement field, independent of its present density.
     """
-    mesh, mat = model.mesh, model.material
     uvec = u.u if isinstance(u, Displacement) else np.asarray(u, dtype=float)
-    ke = _unit_ke(mesh, mat)
-    ue = uvec[element_dof_map(mesh.dims)]
-    w = 0.5 * mat.E * np.einsum("ni,ij,nj->n", ue, ke, ue)
+    ue = uvec[model.mesh.element_dofs]
+    w = 0.5 * model.material.E * np.einsum("ni,ij,nj->n", ue, model.ke, ue)
     return np.maximum(w, 0.0)
 
 

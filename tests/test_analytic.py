@@ -104,6 +104,51 @@ def test_counterexample_swap_symmetry():
         assert val[(r2, r1)] == pytest.approx(value, rel=1e-12)
 
 
+def test_counterexample_scan_samples_both_endpoints():
+    # 1/0.3 is no integer: a scan stepping from 0 alone stops at 0.9 and
+    # reports a spurious endpoint minimum there instead of the t = 1 corner
+    res = analytic.simp_counterexample(A, B, p=3, grid_resolution=0.3)
+    assert res.boundary_t[0] == 0.0 and res.boundary_t[-1] == 1.0
+    assert [t for t, _ in res.minima] == [0.0, 1.0]
+    assert res.minima[1][1] == pytest.approx(1.8918058124456125, rel=1e-12)
+
+
+def test_counterexample_default_scan_steps_by_the_resolution():
+    res = analytic.simp_counterexample(A, B)
+    assert np.array_equal(res.boundary_t, np.arange(0.0, 1.0 + 0.5e-4, 1e-4))
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"grid_resolution": 0.0}, "resolution"),
+    ({"grid_resolution": -1.0}, "resolution"),
+    ({"grid_resolution": 2.0}, "resolution"),
+    ({"grid_resolution": math.nan}, "resolution"),
+    ({"p": math.nan}, "p must"),
+    ({"p": math.inf}, "p must"),
+    ({"a": math.inf}, "a and b"),
+    ({"b": math.nan}, "a and b"),
+], ids=["resolution-0", "resolution-negative", "resolution-2", "resolution-nan", "p-nan",
+        "p-inf", "a-inf", "b-nan"])
+def test_counterexample_rejects_bad_values(kwargs, name):
+    args = {"a": A, "b": B, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        analytic.simp_counterexample(**args)
+
+
+@pytest.mark.parametrize("spec,kwargs,name", [
+    (analytic.TrussSpec, {"a": math.inf}, "a and b"),
+    (analytic.TrussSpec, {"b": math.nan}, "a and b"),
+    (analytic.DoubleWellSpec, {"beta": math.inf}, "beta and lam"),
+    (analytic.DoubleWellSpec, {"lam": math.inf}, "beta and lam"),
+    (analytic.DoubleWellSpec, {"lam": math.nan}, "beta and lam"),
+    (analytic.DoubleWellSpec, {"f": (math.nan,)}, "f must"),
+    (analytic.DoubleWellSpec, {"f": (0.5, math.inf)}, "f must"),
+], ids=["truss-a-inf", "truss-b-nan", "beta-inf", "lam-inf", "lam-nan", "f-nan", "f-inf"])
+def test_demo_specs_reject_non_finite_values(spec, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        spec(**kwargs)
+
+
 def test_counterexample_boundary_scan_consistency():
     res = analytic.simp_counterexample(A, B, p=2, grid_resolution=1e-3)
     g = res.boundary_values

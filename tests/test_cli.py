@@ -277,7 +277,14 @@ def test_main_usage_error_exit_code(tmp_path, monkeypatch):
     ["probe", "--sizes", "12x4", "--volfrac", "1.5"],
     ["probe", "--sizes", "12x4,0x4"],
     ["probe", "--sizes", "12x4", "--methods", "simp,cdt", "--volfrac", "0.5", "--mu", "0.4"],
-], ids=["run-simp-volfrac", "probe-volfrac", "probe-second-size", "probe-second-method"])
+    ["run", "--method", "simp", "--penal", "nan"],
+    ["run", "--method", "simp", "--penal", "inf"],
+    ["run", "--method", "simp", "--rmin", "nan"],
+    ["run", "--method", "simp", "--rmin", "inf"],
+    ["run", "--E", "inf"],
+], ids=["run-simp-volfrac", "probe-volfrac", "probe-second-size", "probe-second-method",
+        "run-simp-penal-nan", "run-simp-penal-inf", "run-simp-rmin-nan", "run-simp-rmin-inf",
+        "run-E-inf"])
 def test_main_usage_error_runs_nothing_and_creates_no_directory(
         tmp_path, monkeypatch, capsys, args):
     # every model and config is built before the output directory
@@ -318,6 +325,26 @@ def test_main_unusable_out_is_a_usage_error_before_any_solve(
 def test_main_solver_error_exit_code(tmp_path):
     assert cli.main(["demo", "--name", "truss", "--epsilon", "0",
                      "--no-perturb", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("args,name", [
+    (["--name", "simp-surface", "--resolution", "0"], "resolution"),
+    (["--name", "simp-surface", "--resolution", "-1"], "resolution"),
+    (["--name", "simp-surface", "--resolution", "2"], "resolution"),
+    (["--name", "simp-surface", "--resolution", "nan"], "resolution"),
+    (["--name", "simp-surface", "--p", "nan"], "p must"),
+    (["--name", "simp-surface", "--a", "inf"], "a and b"),
+    (["--name", "double-well", "--lambda", "inf"], "beta and lam"),
+    (["--name", "double-well", "--f", "nan"], "f must"),
+    (["--name", "truss", "--a", "inf"], "a and b"),
+], ids=["resolution-0", "resolution-negative", "resolution-2", "resolution-nan", "p-nan",
+        "surface-a-inf", "lambda-inf", "f-nan", "truss-a-inf"])
+def test_demo_bad_value_is_a_usage_error_naming_it(tmp_path, capsys, args, name):
+    out = tmp_path / "out"
+    assert cli.main(["demo", *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and name in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args,code", [
@@ -387,6 +414,24 @@ def test_main_probe_writes_cost_csv(tmp_path):
     lines = (tmp_path / "cost_probe.csv").read_text().splitlines()
     assert lines[0].startswith("method,nelx,nely")
     assert len(lines) == 5  # header + 2 meshes x 2 methods
+
+
+def test_probe_keeps_the_rows_of_finished_runs_on_a_solver_error(tmp_path, monkeypatch, capsys):
+    run_method = cli.run_method
+
+    def second_size_cycles(method, model, volfrac, config):
+        if model.mesh.dims == (12, 4):
+            raise driver.MaxOuterExceeded("outer loop hit max_outer")
+        return run_method(method, model, volfrac, config)
+
+    monkeypatch.setattr(cli, "run_method", second_size_cycles)
+    assert cli.main(["probe", "--sizes", "16x6,12x4", "--mu", "0.95",
+                     "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("solver error:")
+    with open(tmp_path / "cost_probe.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["nelx"], r["nely"]) for r in rows] == [
+        ("cdt", "16", "6"), ("beso", "16", "6")]
 
 
 def test_main_probe_runs_simp(tmp_path):

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from cdtopt import fem
 from cdtopt.driver import CdtConfig, run_cdt
-from cdtopt.problems import build_cantilever2d, build_cantilever3d, build_mbb
+from cdtopt.problems import PROBLEMS, build_cantilever2d, build_cantilever3d, build_mbb
 
 
 def q4_quadrature_oracle(nu):
@@ -145,7 +148,7 @@ def test_assemble_full_density_equals_unit_sum():
     K1 = fem.assemble(model, np.ones(model.n_elements)).toarray()
     # manual scatter at modulus E
     ke = fem.element_stiffness_2d(model.material)
-    edof = fem.element_dof_map(model.mesh.dims)
+    edof = model.mesh.element_dofs
     ref = np.zeros_like(K1)
     for e in range(model.n_elements):
         ref[np.ix_(edof[e], edof[e])] += model.material.E * ke
@@ -291,8 +294,8 @@ def edge_clamped_model(nelx, nely, axis):
 def test_band_ordering_follows_longest_axis():
     # the transposed problem gets the same band; numbering x outermost on
     # the tall mesh would need 2 * (12 + 2) + 1 = 29
-    wide = fem._layout(edge_clamped_model(12, 5, axis=0)).width
-    tall = fem._layout(edge_clamped_model(5, 12, axis=1)).width
+    wide = edge_clamped_model(12, 5, axis=0).band_layout.width
+    tall = edge_clamped_model(5, 12, axis=1).band_layout.width
     assert wide == tall == 2 * (5 + 2) + 1
 
 
@@ -358,7 +361,7 @@ def test_solve_meeting_the_bound_first_is_one_triangular_solve(monkeypatch, layo
     solutions = counted_triangular_solves(monkeypatch)
     disp = fem.solve_equilibrium(model, rho, penal)
     # first residual from the sparse assembly oracle, in band order
-    free = fem._layout(model).free
+    free = model.band_layout.free
     K = fem.assemble(model, rho, penal)[free][:, free]
     f = model.load[free]
     first = np.linalg.norm(f - K @ solutions[0]) / np.linalg.norm(f)
@@ -367,16 +370,58 @@ def test_solve_meeting_the_bound_first_is_one_triangular_solve(monkeypatch, layo
     assert disp.residual == pytest.approx(first, rel=0.1)
 
 
+def patch_builder(monkeypatch, cls, name, wrap):
+    # the cached property cls.name computes wrap(builder)(obj) from now on
+    prop = vars(cls)[name]
+    monkeypatch.setattr(prop, "func", wrap(prop.func))
+
+
 def test_band_layout_built_once_per_model(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("solve_equilibrium must not assemble or re-derive free dofs")
 
     monkeypatch.setattr(fem, "assemble", forbidden)
     monkeypatch.setattr(fem, "free_dofs", forbidden)
-    fem._band_layout.cache_clear()
-    _, _, record = run_cdt(build_mbb(16, 6), CdtConfig(volfrac=0.5, mu=0.95))
-    assert record.converged
-    assert fem._band_layout.cache_info().misses == 1
+    built = []
+
+    def counting(build):
+        return lambda model: built.append(model) or build(model)
+
+    patch_builder(monkeypatch, fem.StructuralModel, "band_layout", counting)
+    model = build_mbb(16, 6)
+    _, _, record = run_cdt(model, CdtConfig(volfrac=0.5, mu=0.95))
+    assert record.converged and record.outer_iterations > 1
+    assert len(built) == 1 and built[0] is model
+    # a second model of the same mesh and supports builds its own
+    twin = build_mbb(16, 6)
+    fem.solve_equilibrium(twin, np.ones(twin.n_elements))
+    assert len(built) == 2 and built[1] is twin
+
+
+def test_dropped_model_frees_its_band_layout():
+    model = build_mbb(16, 6)
+    fem.solve_equilibrium(model, np.ones(model.n_elements))
+    layout = model.band_layout
+    arrays = [weakref.ref(a) for a in (layout.free, layout.pos, layout.band_index)]
+    del model, layout
+    gc.collect()
+    assert [ref() for ref in arrays] == [None, None, None]
+
+
+def test_building_a_model_computes_no_mesh_or_model_arrays(monkeypatch):
+    # setup_s in the benchmark times the model build: it must stay cheap
+    def failing(build):
+        return lambda obj: pytest.fail(f"{type(obj).__name__} built an array eagerly")
+
+    for cls, name in [(fem.Mesh, "element_positions"), (fem.Mesh, "element_dofs"),
+                      (fem.StructuralModel, "ke"), (fem.StructuralModel, "band_layout")]:
+        patch_builder(monkeypatch, cls, name, failing)
+    dims = {"mbb": [(60, 20)], "cantilever": [(120, 40)],
+            "cantilever3d": [(24, 8, 4), (48, 16, 8)]}
+    for name, build in PROBLEMS.items():
+        for d in dims[name]:
+            model = build(*d)
+            assert model.n_elements == model.mesh.n_elements == np.prod(d)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +518,7 @@ def docstring_dof_map(dims):
 
 @pytest.mark.parametrize("dims", NUMBERING_DIMS)
 def test_element_dof_map_matches_docstring_formulas(dims):
-    edof = fem.element_dof_map(dims)
+    edof = fem.Mesh(dims).element_dofs
     assert edof.dtype == np.int64
     assert np.array_equal(edof, docstring_dof_map(dims))
 
