@@ -43,6 +43,8 @@ class TrussSpec:
     def __post_init__(self):
         if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
             raise ValueError("group stiffness constants a and b must be finite and positive")
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,10 @@ def buridan(w_base, epsilon, perturb=True):
     deterministic ramp tie-break (or DegenerateInstance when ``perturb``
     is disabled).
     """
-    if w_base <= 0.0:
-        raise ValueError("w_base must be positive")
+    if not 0.0 < w_base < math.inf:
+        raise ValueError("w_base must be finite and positive")
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
     instance = knapsack.KnapsackInstance(
         w=np.array([w_base + epsilon, w_base]), v=np.array([1.0, 1.0]), V_target=1.0
     )
@@ -161,8 +165,10 @@ def simp_counterexample(a, b, f=(1.0, 1.0), p=2.0, grid_resolution=1e-4):
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError("material constants a and b must be finite and positive")
-    if not math.isfinite(p):
-        raise ValueError("p must be finite")
+    # the corners sample 0 ** p, which divides by zero for p < 0; p = 0 makes
+    # the surface flat, so every boundary sample would be a minimum
+    if not 0.0 < p < math.inf:
+        raise ValueError("p must be finite and positive")
     if not 0.0 < grid_resolution <= 0.5:
         raise ValueError("grid resolution must lie in (0, 0.5]")
     val = _penalized_compliance(a, b, f, p)

@@ -7,16 +7,17 @@ checks every value, before :func:`run_method` runs it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from . import knapsack
-from .driver import CdtConfig, IterationRecord, RunRecord, check_volfrac, outer_loop, run_cdt
+from .driver import (CdtConfig, IterationRecord, RunRecord, check_energies, check_volfrac,
+                     outer_loop, run_cdt)
 # assemble stays bound: the benchmark's tracer wraps baselines.assemble by name
 from .fem import assemble, compliance, element_energies, moduli, solve_equilibrium  # noqa: F401
 
@@ -55,27 +56,29 @@ class SimpConfig:
             raise ValueError("rmin must be finite and >= 1")
         if self.ft not in (0, 1):
             raise ValueError("ft must be 0 or 1")
-        if not self.omega2 > 0.0:
-            raise ValueError("omega2 must be positive")
+        if not 0.0 < self.omega2 < math.inf:
+            raise ValueError("omega2 must be finite and positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 
 
 def _filter_matrix(mesh, rmin):
-    """Sparse H with H_ij = max(0, rmin - dist(centroid_i, centroid_j))."""
-    pts = mesh.element_positions + 0.5
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(rmin, output_type="ndarray")
-    if pairs.size:
-        d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        wgt = rmin - d
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(len(pts))])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(len(pts))])
-        data = np.concatenate([wgt, wgt, np.full(len(pts), rmin)])
-    else:
-        rows = cols = np.arange(len(pts))
-        data = np.full(len(pts), rmin)
-    H = sp.coo_matrix((data, (rows, cols)), shape=(len(pts),) * 2).tocsr()
+    """Sparse H with H_ij = max(0, rmin - dist(centre_i, centre_j)), and its row
+    sums, from one pass per grid offset within rmin (Andreassen et al. 2011).
+    Offsets of length exactly rmin keep their pairs, at weight 0."""
+    ids, dims = mesh.element_ids(), mesh.dims
+    reach = [min(int(rmin), n - 1) for n in dims]  # a side's length or more pairs nothing
+    rows, cols, data = [], [], []
+    for off in itertools.product(*(range(-r, r + 1) for r in reach)):
+        sq = sum(o * o for o in off)
+        if sq <= rmin * rmin:
+            src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, dims))
+            dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(off, dims))
+            rows.append(ids[src].ravel())
+            cols.append(ids[dst].ravel())
+            data.append(np.full(rows[-1].size, rmin - math.sqrt(sq)))
+    H = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(ids.size,) * 2).tocsr()
     return H, np.asarray(H.sum(axis=1)).ravel()
 
 
@@ -115,9 +118,12 @@ def run_simp(model, volfrac, config=None):
     change = math.inf
     for it in range(1, cfg.max_outer + 1):
         t0 = time.perf_counter()
-        u = solve_equilibrium(model, x, penal=cfg.penal)
-        t1 = time.perf_counter()
-        w = element_energies(model, u)          # full-modulus gains
+        # an overflowing load is reported by check_energies, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = solve_equilibrium(model, x, penal=cfg.penal)
+            t1 = time.perf_counter()
+            w = element_energies(model, u)      # full-modulus gains
+        check_energies(w, "simp", it)
         ce = 2.0 * w / mat.E                    # unit-modulus u_e.K_e u_e
         dc = -cfg.penal * x ** (cfg.penal - 1.0) * (mat.E - mat.E_min) * ce
         if cfg.ft == 1:

@@ -26,6 +26,7 @@ __all__ = [
     "DriverError",
     "MaxOuterExceeded",
     "check_volfrac",
+    "check_energies",
     "CdtConfig",
     "IterationRecord",
     "RunRecord",
@@ -56,6 +57,13 @@ def check_volfrac(volfrac):
         raise ValueError("volfrac must lie in (0, 1]")
 
 
+def check_energies(w, method, step):
+    """Raise DriverError, naming the load, unless every element energy is finite."""
+    if not np.all(np.isfinite(w)):
+        raise DriverError(f"{method} step {step}: the element strain energies overflow; "
+                          "the load is too large")
+
+
 @dataclass(frozen=True)
 class CdtConfig:
     """Outer-loop parameters of CDT and BESO (volume fraction, schedule, stop)."""
@@ -71,8 +79,8 @@ class CdtConfig:
             raise ValueError("mu must lie in (0, 1)")
         if self.volfrac < 1.0 and self.mu <= self.volfrac:
             raise ValueError("mu must exceed the volume fraction")
-        if not self.omega2 > 0.0:
-            raise ValueError("omega2 must be positive")
+        if not 0.0 < self.omega2 < math.inf:
+            raise ValueError("omega2 must be finite and positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 
@@ -144,12 +152,15 @@ def outer_loop(model, config, method, select):
     record = RunRecord(method=method)
     for gamma in range(1, config.max_outer + 1):
         t0 = time.perf_counter()
-        u = solve_equilibrium(model, rho, strict=False)
-        t1 = time.perf_counter()
+        # an overflowing load is reported by check_energies, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = solve_equilibrium(model, rho, strict=False)
+            t1 = time.perf_counter()
+            w = stored_energy_gains(model, rho, u)
+        check_energies(w, method, gamma)
         if u.residual > RESIDUAL_TOL:
             log.warning("%s step %d: equilibrium residual %.3e exceeds %g",
                         method, gamma, u.residual, RESIDUAL_TOL)
-        w = stored_energy_gains(model, rho, u)
         V_g = volume_schedule(V_g, config.mu, config.volfrac)
         rho_new, fields = select(w, v, V_g, rho)
         t2 = time.perf_counter()

@@ -108,20 +108,12 @@ class Mesh:
         return _grid_numbers(self.dims)
 
     @cached_property
-    def element_positions(self):
-        """(n_elements, ndim) grid position (ei, ej[, ek]) of each element,
-        in element-number order; built on first use."""
-        at = np.unravel_index(np.argsort(self.element_ids(), axis=None), self.dims)
-        at = np.column_stack(at)
-        at.flags.writeable = False
-        return at
-
-    @cached_property
     def element_dofs(self):
         """(n_elements, dofs-per-element) global dof indices; built on first use."""
         ndim = self.ndim
         corners = _CORNERS[:2 ** ndim, :ndim].T
-        at = self.element_positions.T
+        # grid position (ei, ej[, ek]) of each element, in element-number order
+        at = np.unravel_index(np.argsort(self.element_ids(), axis=None), self.dims)
         nodes = self.node_ids()[tuple(p[:, None] + c for p, c in zip(at, corners))]
         edof = (ndim * nodes[:, :, None] + np.arange(ndim)).reshape(self.n_elements, -1)
         edof.flags.writeable = False

@@ -125,10 +125,12 @@ def test_counterexample_default_scan_steps_by_the_resolution():
     ({"grid_resolution": math.nan}, "resolution"),
     ({"p": math.nan}, "p must"),
     ({"p": math.inf}, "p must"),
+    ({"p": -1.0}, "p must"),
+    ({"p": 0.0}, "p must"),
     ({"a": math.inf}, "a and b"),
     ({"b": math.nan}, "a and b"),
 ], ids=["resolution-0", "resolution-negative", "resolution-2", "resolution-nan", "p-nan",
-        "p-inf", "a-inf", "b-nan"])
+        "p-inf", "p-negative", "p-0", "a-inf", "b-nan"])
 def test_counterexample_rejects_bad_values(kwargs, name):
     args = {"a": A, "b": B, **kwargs}
     with pytest.raises(ValueError, match=name):
@@ -138,12 +140,15 @@ def test_counterexample_rejects_bad_values(kwargs, name):
 @pytest.mark.parametrize("spec,kwargs,name", [
     (analytic.TrussSpec, {"a": math.inf}, "a and b"),
     (analytic.TrussSpec, {"b": math.nan}, "a and b"),
+    (analytic.TrussSpec, {"epsilon": math.inf}, "epsilon"),
+    (analytic.TrussSpec, {"epsilon": math.nan}, "epsilon"),
     (analytic.DoubleWellSpec, {"beta": math.inf}, "beta and lam"),
     (analytic.DoubleWellSpec, {"lam": math.inf}, "beta and lam"),
     (analytic.DoubleWellSpec, {"lam": math.nan}, "beta and lam"),
     (analytic.DoubleWellSpec, {"f": (math.nan,)}, "f must"),
     (analytic.DoubleWellSpec, {"f": (0.5, math.inf)}, "f must"),
-], ids=["truss-a-inf", "truss-b-nan", "beta-inf", "lam-inf", "lam-nan", "f-nan", "f-inf"])
+], ids=["truss-a-inf", "truss-b-nan", "truss-epsilon-inf", "truss-epsilon-nan", "beta-inf",
+        "lam-inf", "lam-nan", "f-nan", "f-inf"])
 def test_demo_specs_reject_non_finite_values(spec, kwargs, name):
     with pytest.raises(ValueError, match=name):
         spec(**kwargs)

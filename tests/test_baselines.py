@@ -1,11 +1,14 @@
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdtopt import cli, fem, knapsack
 from cdtopt.baselines import (
     SimpConfig,
+    _filter_matrix,
     beso_select,
     run_beso,
     run_simp,
@@ -127,16 +130,51 @@ def test_beso_strain_energy_close_to_cdt():
     assert [fields(r) for r in rb.rows] == [fields(r) for r in rc.rows]
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (3, 2), (4, 3, 2), (3, 5, 6)])
-def test_element_centroids_are_element_centres(dims):
+# ---------------------------------------------------------------------------
+# SIMP's filter
+# ---------------------------------------------------------------------------
+
+def oracle_filter(dims, rmin):
+    """Dense H_ij = max(0, rmin - |c_i - c_j|) over element centres, pair by
+    pair, and the number of pairs with |c_i - c_j| <= rmin."""
     # element (ei, ej, ek) is ek*nelx*nely + ei*nely + ej (fem docstring)
     nelx, nely = dims[:2]
-    # SIMP's filter measures distances between these centres
-    centres = fem.Mesh(dims).element_positions + 0.5
-    assert centres.shape == (int(np.prod(dims)), len(dims))
+    centres = np.empty((int(np.prod(dims)), len(dims)))
     for ei, ej, *ek in np.ndindex(*dims):
         e = (ek[0] if ek else 0) * nelx * nely + ei * nely + ej
-        assert centres[e].tolist() == [ei + 0.5, ej + 0.5] + [k + 0.5 for k in ek]
+        centres[e] = [ei + 0.5, ej + 0.5] + [k + 0.5 for k in ek]
+    sq = ((centres[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
+    return np.maximum(0.0, rmin - np.sqrt(sq)), np.count_nonzero(sq <= rmin * rmin)
+
+
+def check_filter_against_oracle(dims, rmin):
+    H, Hs = _filter_matrix(fem.Mesh(dims), rmin)
+    oracle, in_reach = oracle_filter(dims, rmin)
+    assert np.array_equal(H.toarray(), oracle)
+    # pairs at distance exactly rmin are stored, at weight 0
+    assert H.nnz == in_reach
+    # a sum of m positive terms in any order lies within m units of
+    # roundoff of the exact sum; equality would pin numpy's summation order
+    exact = np.array([math.fsum(row) for row in oracle])
+    m = np.count_nonzero(oracle, axis=1)
+    assert np.all(np.abs(Hs - exact) <= m * 2.0 ** -53 * exact)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(dims=st.lists(st.integers(1, 8), min_size=2, max_size=3).map(tuple),
+       rmin=st.floats(1.0, 4.0))
+def test_filter_matrix_matches_brute_force_oracle(dims, rmin):
+    check_filter_against_oracle(dims, rmin)
+
+
+@pytest.mark.parametrize("dims,rmin", [
+    *[(dims, r) for dims in [(6, 5), (5, 4, 3)]
+      for r in (1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0)],
+    ((60, 2), 3.0),   # an offset as long as a side pairs nothing
+    ((2, 2), 3.0),
+])
+def test_filter_matrix_at_exact_offset_lengths_and_short_sides(dims, rmin):
+    check_filter_against_oracle(dims, rmin)
 
 
 # ---------------------------------------------------------------------------

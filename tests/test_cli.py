@@ -272,21 +272,25 @@ def test_main_usage_error_exit_code(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("args", [
-    ["run", "--method", "simp", "--volfrac", "1.5"],
-    ["probe", "--sizes", "12x4", "--volfrac", "1.5"],
-    ["probe", "--sizes", "12x4,0x4"],
-    ["probe", "--sizes", "12x4", "--methods", "simp,cdt", "--volfrac", "0.5", "--mu", "0.4"],
-    ["run", "--method", "simp", "--penal", "nan"],
-    ["run", "--method", "simp", "--penal", "inf"],
-    ["run", "--method", "simp", "--rmin", "nan"],
-    ["run", "--method", "simp", "--rmin", "inf"],
-    ["run", "--E", "inf"],
+@pytest.mark.parametrize("args,name", [
+    (["run", "--method", "simp", "--volfrac", "1.5"], "volfrac"),
+    (["probe", "--sizes", "12x4", "--volfrac", "1.5"], "volfrac"),
+    (["probe", "--sizes", "12x4,0x4"], "dims"),
+    (["probe", "--sizes", "12x4", "--methods", "simp,cdt", "--volfrac", "0.5", "--mu", "0.4"],
+     "mu must"),
+    (["run", "--method", "simp", "--penal", "nan"], "penal"),
+    (["run", "--method", "simp", "--penal", "inf"], "penal"),
+    (["run", "--method", "simp", "--rmin", "nan"], "rmin"),
+    (["run", "--method", "simp", "--rmin", "inf"], "rmin"),
+    (["run", "--E", "inf"], "finite E"),
+    (["run", "--method", "cdt", "--omega2", "inf"], "omega2"),
+    (["run", "--method", "beso", "--omega2", "inf"], "omega2"),
+    (["run", "--method", "simp", "--omega2", "inf"], "omega2"),
 ], ids=["run-simp-volfrac", "probe-volfrac", "probe-second-size", "probe-second-method",
         "run-simp-penal-nan", "run-simp-penal-inf", "run-simp-rmin-nan", "run-simp-rmin-inf",
-        "run-E-inf"])
+        "run-E-inf", "run-cdt-omega2-inf", "run-beso-omega2-inf", "run-simp-omega2-inf"])
 def test_main_usage_error_runs_nothing_and_creates_no_directory(
-        tmp_path, monkeypatch, capsys, args):
+        tmp_path, monkeypatch, capsys, args, name):
     # every model and config is built before the output directory
     for module in (driver, baselines):
         monkeypatch.setattr(module, "solve_equilibrium",
@@ -294,7 +298,7 @@ def test_main_usage_error_runs_nothing_and_creates_no_directory(
     out = tmp_path / "out"
     assert cli.main(args + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert err.startswith("usage error:") and name in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -327,6 +331,16 @@ def test_main_solver_error_exit_code(tmp_path):
                      "--no-perturb", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("method", list(METHODS))
+def test_main_run_load_that_overflows_is_a_solver_error_naming_it(tmp_path, capsys, method):
+    # the energies overflow at step 1; numpy must not warn on the way there
+    args = ["run", "--method", method, "--nelx", "12", "--nely", "4", "--load", "1e300"]
+    assert cli.main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver error: {method} step 1:") and "load" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args,name", [
     (["--name", "simp-surface", "--resolution", "0"], "resolution"),
     (["--name", "simp-surface", "--resolution", "-1"], "resolution"),
@@ -337,8 +351,18 @@ def test_main_solver_error_exit_code(tmp_path):
     (["--name", "double-well", "--lambda", "inf"], "beta and lam"),
     (["--name", "double-well", "--f", "nan"], "f must"),
     (["--name", "truss", "--a", "inf"], "a and b"),
+    (["--name", "simp-surface", "--p", "-1"], "p must"),
+    (["--name", "simp-surface", "--p", "0"], "p must"),
+    (["--name", "buridan", "--w-base", "inf"], "w_base"),
+    (["--name", "buridan", "--w-base", "nan"], "w_base"),
+    (["--name", "buridan", "--epsilon", "nan"], "epsilon"),
+    (["--name", "buridan", "--epsilon", "inf"], "epsilon"),
+    (["--name", "truss", "--epsilon", "nan"], "epsilon"),
+    (["--name", "truss", "--epsilon", "inf"], "epsilon"),
 ], ids=["resolution-0", "resolution-negative", "resolution-2", "resolution-nan", "p-nan",
-        "surface-a-inf", "lambda-inf", "f-nan", "truss-a-inf"])
+        "surface-a-inf", "lambda-inf", "f-nan", "truss-a-inf", "p-negative", "p-0",
+        "w-base-inf", "w-base-nan", "buridan-epsilon-nan", "buridan-epsilon-inf",
+        "truss-epsilon-nan", "truss-epsilon-inf"])
 def test_demo_bad_value_is_a_usage_error_naming_it(tmp_path, capsys, args, name):
     out = tmp_path / "out"
     assert cli.main(["demo", *args, "--out", str(out)]) == 1
@@ -368,16 +392,17 @@ def test_main_demo_double_well(tmp_path, capsys):
     assert "global_min" in capsys.readouterr().out
 
 
-def python_dash_m_cdtopt(*args):
+def fresh_python(*args):
+    # a new interpreter that imports cdtopt from this source tree
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "cdtopt", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_python_dash_m_cdtopt_runs_the_cli(tmp_path):
-    proc = python_dash_m_cdtopt("demo", "--name", "buridan", "--out", str(tmp_path))
+    proc = fresh_python("-m", "cdtopt", "demo", "--name", "buridan", "--out", str(tmp_path))
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "unique True" in proc.stdout
@@ -386,10 +411,19 @@ def test_python_dash_m_cdtopt_runs_the_cli(tmp_path):
 def test_cli_run_is_quiet_on_a_step_that_misses_the_residual_bound(tmp_path):
     # cantilever 16x6 at vf 0.5, mu 0.95 logs a warning for step 12; the
     # package's NullHandler keeps Python's last-resort handler off stderr
-    proc = python_dash_m_cdtopt("run", "--problem", "cantilever", "--nelx", "16", "--nely", "6",
-                                "--volfrac", "0.5", "--mu", "0.95", "--out", str(tmp_path))
+    proc = fresh_python("-m", "cdtopt", "run", "--problem", "cantilever", "--nelx", "16",
+                        "--nely", "6", "--volfrac", "0.5", "--mu", "0.95", "--out", str(tmp_path))
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_import_cdtopt_leaves_scipy_spatial_unloaded():
+    # scipy.spatial and what it pulls in cost a cold start about 0.1 s;
+    # SIMP's filter reads its neighbours off the element grid instead
+    proc = fresh_python("-c", "import sys, cdtopt; "
+                        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_main_demo_simp_surface(tmp_path):

@@ -413,8 +413,8 @@ def test_building_a_model_computes_no_mesh_or_model_arrays(monkeypatch):
     def failing(build):
         return lambda obj: pytest.fail(f"{type(obj).__name__} built an array eagerly")
 
-    for cls, name in [(fem.Mesh, "element_positions"), (fem.Mesh, "element_dofs"),
-                      (fem.StructuralModel, "ke"), (fem.StructuralModel, "band_layout")]:
+    for cls, name in [(fem.Mesh, "element_dofs"), (fem.StructuralModel, "ke"),
+                      (fem.StructuralModel, "band_layout")]:
         patch_builder(monkeypatch, cls, name, failing)
     dims = {"mbb": [(60, 20)], "cantilever": [(120, 40)],
             "cantilever3d": [(24, 8, 4), (48, 16, 8)]}
