@@ -83,16 +83,24 @@ def _filter_matrix(mesh, rmin):
 
 
 def _oc_update(x, dc, dv, volfrac):
-    """Optimality-criteria step with bisection on the volume multiplier."""
+    """Optimality-criteria step with bisection on the volume multiplier in
+    (0, 1e9], whose upper end doubles while the target lies beyond it."""
+
+    def step(lam):
+        cand = x * (np.maximum(-dc, 0.0) / (dv * lam)) ** OC_ETA
+        return np.clip(np.clip(cand, x - OC_MOVE, x + OC_MOVE), X_MIN, 1.0)
+
     l1, l2 = 0.0, 1e9
-    xnew = x
+    floor = np.maximum(x - OC_MOVE, X_MIN)
+    xnew = step(l2)
+    while xnew.mean() > volfrac and not np.array_equal(xnew, floor):
+        l2 *= 2.0
+        xnew = step(l2)
     bisections = 0
     while (l2 - l1) / (l1 + l2 + 1e-30) > 1e-9:
         bisections += 1
         lmid = 0.5 * (l1 + l2)
-        cand = x * (np.maximum(-dc, 0.0) / (dv * lmid)) ** OC_ETA
-        cand = np.clip(cand, x - OC_MOVE, x + OC_MOVE)
-        xnew = np.clip(cand, X_MIN, 1.0)
+        xnew = step(lmid)
         if xnew.mean() > volfrac:
             l1 = lmid
         else:
@@ -115,7 +123,6 @@ def run_simp(model, volfrac, config=None):
     H, Hs = _filter_matrix(mesh, cfg.rmin)
     dv = np.ones(n)
     record = RunRecord(method="simp")
-    change = math.inf
     for it in range(1, cfg.max_outer + 1):
         t0 = time.perf_counter()
         # an overflowing load is reported by check_energies, not by numpy
@@ -148,8 +155,8 @@ def run_simp(model, volfrac, config=None):
         ))
         x = xnew
         if change <= cfg.omega2:
+            record.converged = True
             break
-    record.converged = change <= cfg.omega2
     u_final = solve_equilibrium(model, x, penal=cfg.penal)
     record.final_compliance = compliance(u_final, model.load)
     record.final_volume = float(np.dot(v, x))

@@ -309,11 +309,11 @@ def _cmd_probe(options):
                 rows.append([method, *model.mesh.dims, model.n_elements, rec.outer_iterations,
                              time.perf_counter() - t0,
                              sum(r.fem_ms for r in rec.rows) * 1e-3,
-                             sum(r.update_ms for r in rec.rows) * 1e-3])
+                             sum(r.update_ms for r in rec.rows) * 1e-3, rec.converged])
     finally:  # the runs that finished keep their rows when a later one fails
         path = _write_csv(os.path.join(out, "cost_probe.csv"),
                           ["method", "nelx", "nely", "n_elements", "outer_iters",
-                           "total_s", "fem_s", "update_s"], rows)
+                           "total_s", "fem_s", "update_s", "converged"], rows)
     for method, nelx, nely, _, iters, total_s, *_ in rows:
         print(f"{method} {nelx}x{nely}: {iters} iters {total_s:.3f}s")
     print(path)

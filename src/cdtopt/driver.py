@@ -5,9 +5,9 @@ Each outer step solves the elastic equilibrium at the current layout,
 scores every element by the strain energy it would store, and re-selects
 the kept subset at the scheduled budget V_g = max(V_c, mu * V_{g-1}).
 The loop stops once the budget has reached its target and the selection
-objective has settled.  :func:`run_cdt` selects with the dual knapsack
-solver; BESO (:func:`cdtopt.baselines.run_beso`) runs the same loop with
-a greedy selector.
+objective has settled, or, unconverged, at its iteration cap.
+:func:`run_cdt` selects with the dual knapsack solver; BESO
+(:func:`cdtopt.baselines.run_beso`) runs the same loop with a greedy selector.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .fem import RESIDUAL_TOL, compliance, element_energies, moduli, solve_equil
 
 __all__ = [
     "DriverError",
-    "MaxOuterExceeded",
     "check_volfrac",
     "check_energies",
     "CdtConfig",
@@ -41,14 +40,6 @@ log = logging.getLogger(__name__)
 
 class DriverError(Exception):
     """Base class for outer-loop failures."""
-
-
-class MaxOuterExceeded(DriverError):
-    """The outer loop hit its iteration cap without meeting the stop rule."""
-
-    def __init__(self, message, record=None):
-        super().__init__(message)
-        self.record = record
 
 
 def check_volfrac(volfrac):
@@ -144,7 +135,8 @@ def outer_loop(model, config, method, select):
     ``select(w, v, V_g, rho)``, which returns the new layout and its own
     record fields.  A step whose solve misses ``fem.RESIDUAL_TOL`` is logged
     as a warning.  Returns (BinaryDensity, final Displacement, RunRecord);
-    raises MaxOuterExceeded if the stop rule is not met within max_outer.
+    a run that ends at max_outer without meeting the stop rule returns
+    with ``record.converged`` False.
     """
     v = model.mesh.element_volumes()
     rho = np.ones(model.mesh.n_elements)
@@ -182,14 +174,10 @@ def outer_loop(model, config, method, select):
         ))
         rho = rho_new
         if abs(-gain - P_prev) <= config.omega2 and V_g <= config.volfrac + 1e-12:
+            record.converged = True
             break
         P_prev = -gain
-    else:
-        raise MaxOuterExceeded(
-            f"no convergence in {config.max_outer} outer iterations", record=record
-        )
     u_final = solve_equilibrium(model, rho)
-    record.converged = True
     record.final_compliance = compliance(u_final, model.load)
     record.final_volume = float(np.dot(v, rho))
     return knapsack.BinaryDensity(rho), u_final, record

@@ -386,7 +386,9 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
     n = free.size
     u = np.zeros(model.mesh.n_dofs)
     f_free = model.load[free]
-    fnorm = float(np.linalg.norm(f_free))
+    # norms of vectors scaled by a power of two: exact, and |f|^2 cannot overflow
+    unit = np.ldexp(1.0, -np.frexp(np.abs(f_free).max())[1])
+    fnorm = float(np.linalg.norm(unit * f_free))
     if fnorm == 0.0:
         return Displacement(u, 0.0)
     ke = model.ke
@@ -407,17 +409,17 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
     # refine while the residual misses the bound and still falls: the huge
     # solid/ersatz stiffness contrast of nearly binary designs costs accuracy
     r = residual(u_free)
-    res = float(np.linalg.norm(r)) / fnorm
+    res = float(np.linalg.norm(unit * r)) / fnorm
     for _ in range(8):
         if res <= RESIDUAL_TOL:
             break
         u_try = u_free + cho_solve_banded(factor, r, check_finite=False)
         r_try = residual(u_try)
-        res_try = float(np.linalg.norm(r_try)) / fnorm
-        if res_try >= res:
+        res_try = float(np.linalg.norm(unit * r_try)) / fnorm
+        if not res_try < res:
             break
         u_free, r, res = u_try, r_try, res_try
-    if strict and res > RESIDUAL_TOL:
+    if strict and not res <= RESIDUAL_TOL:  # a nan residual fails too
         raise SolverBreakdown(f"linear solve residual {res:.3e} exceeds {RESIDUAL_TOL}", res)
     u[free] = u_free
     return Displacement(u, res)

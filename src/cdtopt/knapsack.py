@@ -290,12 +290,12 @@ class Certificate:
 @dataclass(frozen=True)
 class SolveParams:
     """Options of :func:`solve`: the multiplier to report when it is
-    optimal (a warm start from the previous solve) and the tie-breaking
-    ramp perturbation."""
+    optimal (a warm start from the previous solve) and whether to break
+    ties by the ramp perturbation of scale ``perturb_scale``."""
 
     tau0: float = 1.0
     perturb: bool = True
-    perturb_scale: float = 1e-8         # relative to max(w)
+    perturb_scale: float = field(default=1e-8, init=False)  # relative to max(w)
 
 
 @dataclass(frozen=True)

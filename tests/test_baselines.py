@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from cdtopt import cli, fem, knapsack
 from cdtopt.baselines import (
     SimpConfig,
     _filter_matrix,
+    _oc_update,
     beso_select,
     run_beso,
     run_simp,
@@ -59,8 +61,33 @@ def test_simp_grayness_exceeds_cdt():
 def test_simp_nonconvergence_is_reported_not_raised():
     model = build_mbb(16, 6)
     x, u, rec = run_simp(model, 0.4, SimpConfig(max_outer=3))
-    assert rec.converged in (True, False)  # status, never an exception
-    assert rec.outer_iterations == 3 or rec.converged
+    assert not rec.converged  # status, never an exception
+    assert rec.outer_iterations == 3
+
+
+def test_simp_meets_the_volume_target_at_a_large_load():
+    # the OC multiplier of a 1e5 load lies past 1e9: the bracket must grow
+    _, _, rec = run_simp(build_mbb(30, 10, load=1e5), 0.4)
+    assert rec.converged
+    assert abs(rec.final_volume - 0.4) <= 1e-6
+
+
+def test_oc_update_stops_widening_at_the_density_floor():
+    # a target below the X_MIN floor is out of reach at any multiplier
+    x = np.full(4, 5e-4)
+    xnew, bisections = _oc_update(x, -np.arange(4.0), np.ones(4), 5e-4)
+    assert np.array_equal(xnew, np.full(4, 1e-3)) and bisections > 0
+
+
+def test_simp_bracketed_oc_steps_are_unchanged(tmp_path):
+    # load 1e3 is bracketed by (0, 1e9] on every step: its log, elapsed_ms
+    # aside, is pinned to the one written before the bracket could grow
+    _, _, rec = run_simp(build_mbb(30, 10, load=1e3), 0.4)
+    assert rec.outer_iterations == 70
+    path = cli.write_runrecord_csv(rec, tmp_path / "simp.csv")
+    text = "".join(line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4435e0227e0d2139ed912a89de342bce482a25e1d15e8b6c442dc0d76536aa7f")
 
 
 def test_simp_config_validation():

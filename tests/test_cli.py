@@ -254,6 +254,18 @@ def test_main_run_max_outer_caps_simp(tmp_path):
     assert len(lines) == 5 + 1  # header + one row per iteration
 
 
+@pytest.mark.parametrize("method", ["cdt", "beso"])
+def test_main_run_max_outer_caps_cdt_and_beso(tmp_path, capsys, method):
+    # a capped run is an outcome, not an error: both outputs are written
+    code = cli.main(["run", "--nelx", "30", "--nely", "10", "--method", method,
+                     "--max-outer", "3", "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out.rstrip().endswith("converged False")
+    assert cli.read_pgm(tmp_path / f"mbb_{method}_density.pgm").shape == (10, 30)
+    lines = (tmp_path / f"mbb_{method}_record.csv").read_text().splitlines()
+    assert len(lines) == 3 + 1  # header + one row per iteration
+
+
 def test_main_run_cdt_small_load_matches_beso(tmp_path):
     # the selection has no absolute tolerance: gains ~1e-10 select as at load 1
     args = ["run", "--problem", "cantilever", "--nelx", "30", "--nely", "10",
@@ -455,7 +467,7 @@ def test_probe_keeps_the_rows_of_finished_runs_on_a_solver_error(tmp_path, monke
 
     def second_size_cycles(method, model, volfrac, config):
         if model.mesh.dims == (12, 4):
-            raise driver.MaxOuterExceeded("outer loop hit max_outer")
+            raise driver.DriverError("the element strain energies overflow")
         return run_method(method, model, volfrac, config)
 
     monkeypatch.setattr(cli, "run_method", second_size_cycles)
@@ -466,6 +478,18 @@ def test_probe_keeps_the_rows_of_finished_runs_on_a_solver_error(tmp_path, monke
         rows = list(csv.DictReader(fh))
     assert [(r["method"], r["nelx"], r["nely"]) for r in rows] == [
         ("cdt", "16", "6"), ("beso", "16", "6")]
+
+
+def test_probe_records_whether_each_run_converged(tmp_path, monkeypatch):
+    # BESO capped at 3 iterations: its row is kept, marked as not converged
+    method_config = cli.method_config
+    monkeypatch.setattr(cli, "method_config", lambda name, options: method_config(
+        name, {**options, "max_outer": 3} if name == "beso" else options))
+    assert cli.main(["probe", "--sizes", "16x6", "--mu", "0.95", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "cost_probe.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["outer_iters"], r["converged"]) for r in rows] == [
+        ("cdt", "16", "True"), ("beso", "3", "False")]
 
 
 def test_main_probe_runs_simp(tmp_path):

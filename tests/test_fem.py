@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -251,6 +252,24 @@ def test_equilibrium_residual_invariant():
         rho[holes] = 0.0
         u = fem.solve_equilibrium(model, rho)
         assert u.residual <= 1e-10
+
+
+@pytest.mark.parametrize("load", [1e160, 1e300])
+def test_strict_solve_measures_the_residual_of_a_huge_load(load):
+    # |f|^2 overflows past |f| ~ 1e154: the residual must still be measured
+    unit = fem.solve_equilibrium(build_mbb(12, 4), np.ones(48))
+    disp = fem.solve_equilibrium(build_mbb(12, 4, load=load), np.ones(48))
+    assert 0.0 < disp.residual <= fem.RESIDUAL_TOL
+    assert np.abs(disp.u / load - unit.u).max() <= 1e-12 * np.abs(unit.u).max()
+
+
+def test_strict_solve_raises_on_a_nan_residual():
+    # the displacement of a 1e307 load overflows, and so does its residual
+    model = build_mbb(12, 4, load=1e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(fem.solve_equilibrium(model, np.ones(48), strict=False).residual)
+        with pytest.raises(fem.SolverBreakdown, match="nan"):
+            fem.solve_equilibrium(model, np.ones(48))
 
 
 def test_solver_breakdown_on_unsupported(monkeypatch):
