@@ -23,6 +23,7 @@ from .fem import assemble, compliance, element_energies, moduli, solve_equilibri
 
 __all__ = [
     "SimpConfig",
+    "check_simp_volfrac",
     "run_simp",
     "run_beso",
     "beso_select",
@@ -32,12 +33,12 @@ __all__ = [
 ]
 
 
-# Move limit and damping exponent of the optimality-criteria update, the
-# fixed values of Andreassen et al. 2011, "Efficient topology optimization
-# in MATLAB using 88 lines of code".  The density floor keeps the
-# multiplicative update from freezing an element at zero.
+# Move limit of the optimality-criteria update, the fixed value of
+# Andreassen et al. 2011, "Efficient topology optimization in MATLAB using
+# 88 lines of code"; their damping exponent 1/2 is the update's square
+# root.  The density floor keeps the multiplicative update from freezing
+# an element at zero.
 OC_MOVE = 0.2
-OC_ETA = 0.5
 X_MIN = 1e-3
 
 
@@ -62,6 +63,14 @@ class SimpConfig:
             raise ValueError("max_outer must be >= 1")
 
 
+def check_simp_volfrac(volfrac):
+    """SIMP's volume-fraction rule: :func:`check_volfrac`'s, and no target
+    below the density floor, which no update can reach."""
+    check_volfrac(volfrac)
+    if volfrac < X_MIN:
+        raise ValueError(f"volfrac {volfrac:g} lies below SIMP's density floor X_MIN = {X_MIN:g}")
+
+
 def _filter_matrix(mesh, rmin):
     """Sparse H with H_ij = max(0, rmin - dist(centre_i, centre_j)), and its row
     sums, from one pass per grid offset within rmin (Andreassen et al. 2011).
@@ -82,30 +91,87 @@ def _filter_matrix(mesh, rmin):
     return H, np.asarray(H.sum(axis=1)).ravel()
 
 
-def _oc_update(x, dc, dv, volfrac):
+def _oc_multiplier(x, b, lo, hi, volfrac):
+    """The multiplier lam at which sum(clip(x sqrt(b / lam), lo, hi)) equals
+    n volfrac in real arithmetic, or nan where no one lam does.
+
+    In r = sqrt(lam) an element with c = x sqrt(b) > 0 sits at hi up to
+    r = c / hi, at c / r up to r = c / lo and at lo beyond; the sum is
+    A + C / r between breakpoints, and one sort of the 2n of them finds
+    the piece that holds the root."""
+    c = x * np.sqrt(b)
+    pos = c > 0.0
+    target = x.size * volfrac - lo[~pos].sum()
+    c, lo, hi = c[pos], lo[pos], hi[pos]
+    breaks = np.concatenate((c / hi, c / lo))
+    order = np.argsort(breaks)
+    A = hi.sum() + np.cumsum(np.concatenate((-hi, lo))[order])
+    C = np.cumsum(np.concatenate((c, -c))[order])
+    reached = np.flatnonzero(A + C / breaks[order] <= target)
+    if reached.size == 0 or reached[0] == 0:
+        return math.nan
+    k = reached[0] - 1
+    if not (C[k] > 0.0 and target > A[k]):
+        return math.nan
+    r = float(C[k] / (target - A[k]))
+    return r * r
+
+
+def _oc_update(x, dc, volfrac):
     """Optimality-criteria step with bisection on the volume multiplier in
-    (0, 1e9], whose upper end doubles while the target lies beyond it."""
+    (0, 1e9], whose upper end doubles while the target lies beyond it.
+
+    The volume of step(lam) never grows with lam, in floating point too
+    (every operation is correctly rounded or order-preserving), so a step
+    is evaluated only where no earlier one has decided its side.  Probes
+    just either side of :func:`_oc_multiplier`'s estimate decide most
+    steps; the estimate only advises, so the bisection takes the same
+    steps, and returns the same bits, whatever it is."""
+    b = np.maximum(-dc, 0.0)
+    lo = np.maximum(x - OC_MOVE, X_MIN)
+    hi = np.minimum(x + OC_MOVE, 1.0)
 
     def step(lam):
-        cand = x * (np.maximum(-dc, 0.0) / (dv * lam)) ** OC_ETA
-        return np.clip(np.clip(cand, x - OC_MOVE, x + OC_MOVE), X_MIN, 1.0)
+        return np.clip(x * np.sqrt(b / lam), lo, hi)
 
+    above, below = -math.inf, math.inf  # largest lam known over, least known not
+
+    def over(lam):
+        nonlocal above, below
+        if lam <= above:
+            return True
+        if lam >= below:
+            return False
+        if step(lam).mean() > volfrac:
+            above = lam
+            return True
+        below = lam
+        return False
+
+    # the estimate only advises: an overflow or nan in it, or in a probe's
+    # step, is dropped with it, not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_hat = _oc_multiplier(x, b, lo, hi, volfrac)
+        if 0.0 < lam_hat < math.inf:
+            for rel in (1e-10, 1e-6):
+                if above == -math.inf:
+                    over(lam_hat * (1.0 - rel))
+                if below == math.inf:
+                    over(lam_hat * (1.0 + rel))
     l1, l2 = 0.0, 1e9
-    floor = np.maximum(x - OC_MOVE, X_MIN)
-    xnew = step(l2)
-    while xnew.mean() > volfrac and not np.array_equal(xnew, floor):
+    # the floor has the least volume: once any step is known not over, no
+    # step that is over lies on it
+    while over(l2) and (below < math.inf or not np.array_equal(step(l2), lo)):
         l2 *= 2.0
-        xnew = step(l2)
     bisections = 0
     while (l2 - l1) / (l1 + l2 + 1e-30) > 1e-9:
         bisections += 1
         lmid = 0.5 * (l1 + l2)
-        xnew = step(lmid)
-        if xnew.mean() > volfrac:
+        if over(lmid):
             l1 = lmid
         else:
             l2 = lmid
-    return xnew, bisections
+    return step(lmid), bisections
 
 
 def run_simp(model, volfrac, config=None):
@@ -115,13 +181,12 @@ def run_simp(model, volfrac, config=None):
     the iteration cap is reported through record.converged, not raised.
     """
     cfg = config or SimpConfig()
-    check_volfrac(volfrac)
+    check_simp_volfrac(volfrac)
     mesh, mat = model.mesh, model.material
     n = mesh.n_elements
     v = mesh.element_volumes()
     x = np.full(n, volfrac)
     H, Hs = _filter_matrix(mesh, cfg.rmin)
-    dv = np.ones(n)
     record = RunRecord(method="simp")
     for it in range(1, cfg.max_outer + 1):
         t0 = time.perf_counter()
@@ -135,7 +200,7 @@ def run_simp(model, volfrac, config=None):
         dc = -cfg.penal * x ** (cfg.penal - 1.0) * (mat.E - mat.E_min) * ce
         if cfg.ft == 1:
             dc = (H @ (x * dc)) / Hs / np.maximum(1e-3, x)
-        xnew, bisections = _oc_update(x, dc, dv, volfrac)
+        xnew, bisections = _oc_update(x, dc, volfrac)
         change = float(np.max(np.abs(xnew - x)))
         t2 = time.perf_counter()
         E_x = moduli(model, x, cfg.penal)       # 1/2 u.K(x)u = E_x.w / E
@@ -200,7 +265,10 @@ def method_config(name, options):
     ``options`` names set from it.  Raises ValueError on any value out of
     range, ``options["volfrac"]`` included, before anything runs."""
     config_cls, _ = METHODS[name]
-    check_volfrac(options["volfrac"])
+    if name == "simp":
+        check_simp_volfrac(options["volfrac"])
+    else:
+        check_volfrac(options["volfrac"])
     return config_cls(**{f.name: options[f.name] for f in fields(config_cls)
                          if f.name in options})
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from cdtopt import cli, fem, knapsack
 from cdtopt.baselines import (
+    X_MIN,
     SimpConfig,
     _filter_matrix,
     _oc_update,
     beso_select,
+    method_config,
     run_beso,
     run_simp,
 )
@@ -75,19 +77,31 @@ def test_simp_meets_the_volume_target_at_a_large_load():
 def test_oc_update_stops_widening_at_the_density_floor():
     # a target below the X_MIN floor is out of reach at any multiplier
     x = np.full(4, 5e-4)
-    xnew, bisections = _oc_update(x, -np.arange(4.0), np.ones(4), 5e-4)
+    xnew, bisections = _oc_update(x, -np.arange(4.0), 5e-4)
     assert np.array_equal(xnew, np.full(4, 1e-3)) and bisections > 0
 
 
 def test_simp_bracketed_oc_steps_are_unchanged(tmp_path):
-    # load 1e3 is bracketed by (0, 1e9] on every step: its log, elapsed_ms
-    # aside, is pinned to the one written before the bracket could grow
-    _, _, rec = run_simp(build_mbb(30, 10, load=1e3), 0.4)
-    assert rec.outer_iterations == 70
-    path = cli.write_runrecord_csv(rec, tmp_path / "simp.csv")
-    text = "".join(line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines())
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "4435e0227e0d2139ed912a89de342bce482a25e1d15e8b6c442dc0d76536aa7f")
+    # load 1e3 is bracketed by (0, 1e9] on every step, and load 1e5 grows
+    # the bracket: each log, elapsed_ms aside, is pinned to the one written
+    # while the bisection still evaluated every step
+    for load, digest in (
+            (1e3, "4435e0227e0d2139ed912a89de342bce482a25e1d15e8b6c442dc0d76536aa7f"),
+            (1e5, "ea6d4f124a52d8212f53860aae8164f5b5e698b0b6baacd307d6bc7077dd3f06")):
+        _, _, rec = run_simp(build_mbb(30, 10, load=load), 0.4)
+        assert rec.outer_iterations == 70
+        path = cli.write_runrecord_csv(rec, tmp_path / f"simp_{load:g}.csv")
+        text = "".join(line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, load
+
+
+def test_simp_rejects_a_volfrac_below_the_density_floor():
+    # no update reaches a volume below X_MIN (the CLI cases cover method_config);
+    # the floor is SIMP's alone
+    with pytest.raises(ValueError, match=r"volfrac 0\.0005 .* X_MIN = 0\.001"):
+        run_simp(build_mbb(12, 4), 5e-4)
+    assert method_config("beso", {"volfrac": 5e-4, "mu": 0.9}).volfrac == 5e-4
+    run_simp(build_mbb(12, 4), X_MIN, SimpConfig(max_outer=1))  # the floor itself is reachable
 
 
 def test_simp_config_validation():

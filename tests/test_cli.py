@@ -298,9 +298,13 @@ def test_main_usage_error_exit_code(tmp_path, monkeypatch):
     (["run", "--method", "cdt", "--omega2", "inf"], "omega2"),
     (["run", "--method", "beso", "--omega2", "inf"], "omega2"),
     (["run", "--method", "simp", "--omega2", "inf"], "omega2"),
+    (["run", "--problem", "mbb", "--nelx", "12", "--nely", "4", "--method", "simp",
+      "--volfrac", "0.0005"], "volfrac 0.0005 lies below SIMP's density floor X_MIN = 0.001"),
+    (["probe", "--sizes", "12x4", "--methods", "cdt,simp", "--volfrac", "0.0005"], "X_MIN"),
 ], ids=["run-simp-volfrac", "probe-volfrac", "probe-second-size", "probe-second-method",
         "run-simp-penal-nan", "run-simp-penal-inf", "run-simp-rmin-nan", "run-simp-rmin-inf",
-        "run-E-inf", "run-cdt-omega2-inf", "run-beso-omega2-inf", "run-simp-omega2-inf"])
+        "run-E-inf", "run-cdt-omega2-inf", "run-beso-omega2-inf", "run-simp-omega2-inf",
+        "run-simp-volfrac-below-floor", "probe-simp-volfrac-below-floor"])
 def test_main_usage_error_runs_nothing_and_creates_no_directory(
         tmp_path, monkeypatch, capsys, args, name):
     # every model and config is built before the output directory
