@@ -152,7 +152,12 @@ def _oc_update(x, dc, volfrac):
     # step, is dropped with it, not reported
     with np.errstate(over="ignore", invalid="ignore"):
         lam_hat = _oc_multiplier(x, b, lo, hi, volfrac)
-        if 0.0 < lam_hat < math.inf:
+        if math.isnan(lam_hat):
+            # every step lies elementwise at or below its lam -> 0 limit, and
+            # a sum is monotone: if the limit is not over, no step is
+            if not np.where(b > 0.0, hi, lo).mean() > volfrac:
+                below = 0.0
+        elif 0.0 < lam_hat < math.inf:
             for rel in (1e-10, 1e-6):
                 if above == -math.inf:
                     over(lam_hat * (1.0 - rel))

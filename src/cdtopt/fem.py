@@ -193,8 +193,12 @@ class StructuralModel:
         ``free[p]`` is the global dof at band position p.  ``pos`` maps each
         element dof to its band position, or to the spare slot ``free.size``
         for a fixed dof.  ``band_index`` sends the upper-triangle entries
-        ``ke[pairs]`` of every element into the flattened column-major upper
-        band of half-width ``width``, or to a spare slot past its end.
+        ``ke[pairs]`` of every element, by symmetry, into the flattened
+        column-major lower band of half-width ``width`` (entry (hi, lo) of
+        K_ff at ``ab[hi - lo, lo]``), or to a spare slot past its end.
+        LAPACK's ``dpbtrf`` factors the same matrix faster in lower storage
+        than in upper: about 7-11 against 15-17 ms on ``cantilever`` 120x40
+        (one BLAS thread; ROADMAP item 6 has the table).
         """
         # Number the nodes with the longest axis outermost (ties keep x
         # before y before z) and the components innermost: neighbouring
@@ -218,7 +222,7 @@ class StructuralModel:
         lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
         both = hi < n
         width = int((hi - lo)[both].max(initial=0))
-        band_index = np.where(both, width + lo - hi + (width + 1) * hi, (width + 1) * n)
+        band_index = np.where(both, hi - lo + (width + 1) * lo, (width + 1) * n)
         for arr in (free, pos, a, b, band_index):
             arr.flags.writeable = False
         return SimpleNamespace(free=free, pos=pos, pairs=(a, b), band_index=band_index.ravel(),
@@ -402,7 +406,7 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
     try:
         # the residual is formed element by element, so the factor may
         # overwrite the band
-        factor = (cholesky_banded(band, overwrite_ab=True, check_finite=False), False)
+        factor = (cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False), True)
     except np.linalg.LinAlgError as exc:
         raise SolverBreakdown(f"banded Cholesky factor failed: {exc}") from exc
     u_free = cho_solve_banded(factor, f_free, check_finite=False)

@@ -84,10 +84,11 @@ def test_oc_update_stops_widening_at_the_density_floor():
 def test_simp_bracketed_oc_steps_are_unchanged(tmp_path):
     # load 1e3 is bracketed by (0, 1e9] on every step, and load 1e5 grows
     # the bracket: each log, elapsed_ms aside, is pinned to the one written
-    # while the bisection still evaluated every step
+    # with the bisection evaluating every step (plain_oc_update of
+    # test_oc_update_properties.py in place of _oc_update)
     for load, digest in (
-            (1e3, "4435e0227e0d2139ed912a89de342bce482a25e1d15e8b6c442dc0d76536aa7f"),
-            (1e5, "ea6d4f124a52d8212f53860aae8164f5b5e698b0b6baacd307d6bc7077dd3f06")):
+            (1e3, "b73ab634b934e031ac524113f80c47876755d70731660127c6f839e27c4e1cb8"),
+            (1e5, "61d7905cb5b5fda5dc2d000ad5c531854363b11ae2f54ee33ea54ef076bb23db")):
         _, _, rec = run_simp(build_mbb(30, 10, load=load), 0.4)
         assert rec.outer_iterations == 70
         path = cli.write_runrecord_csv(rec, tmp_path / f"simp_{load:g}.csv")

@@ -106,3 +106,17 @@ def test_oc_multiplier_meets_the_volume_target(case):
         assert abs(total - target) <= 1e-9 * target
     elif not least * (1 - 1e-9) <= target <= most * (1 + 1e-9):
         assert math.isnan(lam)
+
+
+def test_oc_update_without_a_root_evaluates_only_its_final_step():
+    # at vf 1 no multiplier brings the volume down to the target in real
+    # arithmetic, and the bisection runs until its upper end nearly
+    # underflows; the lam -> 0 limit decides every step it takes
+    x, dc = np.ones(48), -np.linspace(0.5, 2.0, 48)
+    assert math.isnan(_oc_multiplier(x, -dc, x - OC_MOVE, x, 1.0))
+    clip, steps = np.clip, []
+    with mock.patch.object(np, "clip", lambda *a, **k: steps.append(a) or clip(*a, **k)):
+        _, bisections = _oc_update(x, dc, 1.0)
+    assert bisections > 100
+    assert len(steps) <= 2
+    check_matches_plain_bisection(x, dc, 1.0)
