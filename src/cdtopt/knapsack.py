@@ -162,24 +162,28 @@ class KnapsackInstance:
         object.__setattr__(self, "w", _readonly(self.w))
         object.__setattr__(self, "v", _readonly(self.v))
         object.__setattr__(self, "V_target", float(self.V_target))
-        if self.w.ndim != 1 or self.v.shape != self.w.shape or self.w.size < 1:
+        w, v = self.w, self.v
+        if w.ndim != 1 or v.shape != w.shape or w.size < 1:
             raise ValueError("w and v must be 1-D sequences of equal length >= 1")
-        if not np.all(np.isfinite(self.w)) or not np.all(np.isfinite(self.v)):
-            raise ValueError("w and v must be finite")
-        if np.any(self.v <= 0.0):
-            raise ValueError("all volumes must be positive")
-        if np.any(self.w < 0.0):
+        v_min, v_max = v.min(), v.max()
+        # four extremes decide validity (a nan makes its array's extremes nan);
+        # only an invalid instance is scanned again, check by check, for its message
+        if not (0.0 <= w.min() and w.max() < math.inf and 0.0 < v_min and v_max < math.inf):
+            if not np.all(np.isfinite(w)) or not np.all(np.isfinite(v)):
+                raise ValueError("w and v must be finite")
+            if np.any(v <= 0.0):
+                raise ValueError("all volumes must be positive")
             raise ValueError("all gains must be nonnegative")
-        total = float(self.v.sum())
+        total = float(v.sum())
         if not 0.0 < self.V_target <= total * (1.0 + 1e-9):
             raise ValueError(
                 f"V_target must lie in (0, sum(v)]; got {self.V_target} vs {total}"
             )
-        ratios = self.w / self.v
+        ratios = w / v
         ratios.flags.writeable = False
         object.__setattr__(self, "total_volume", total)
         object.__setattr__(self, "_ratios", ratios)
-        object.__setattr__(self, "_equal_volumes", bool(np.all(self.v == self.v[0])))
+        object.__setattr__(self, "_equal_volumes", bool(v_min == v_max))
 
     @property
     def n(self):
@@ -522,17 +526,23 @@ def tau_critical(instance, V_gamma=None):
     either a single breakpoint or a whole segment; for a segment the
     midpoint is reported along with the segment itself.  With equal
     volumes the snapped budget prices out k whole elements, so the ends
-    are the k-th and (k+1)-th smallest ratios, found by one selection in
-    O(n); unequal volumes sort.  Scaling v and V together changes nothing.
+    are the k-th and (k+1)-th smallest ratios: one single-rank selection
+    in O(n) finds the k-th and leaves the larger ratios after it, whose
+    minimum is the (k+1)-th (none is needed at k = 0 or k = n); unequal
+    volumes sort.  Scaling v and V together changes nothing.
     """
     V = effective_budget(instance, V_gamma)
     v, n = instance.v, instance.n
     r = instance.ratios()
     if instance.equal_volumes():
         k = n - affordable_count(v, V)
-        r_part = np.partition(r, [max(k - 1, 0), min(k, n - 1)])
-        lo = float(r_part[k - 1]) if k > 0 else 0.0
-        hi = float(r_part[k]) if k < n else math.inf
+        if k == 0:
+            lo, hi = 0.0, float(r.min())
+        elif k == n:
+            lo, hi = float(r.max()), math.inf
+        else:
+            part = np.partition(r, k - 1)
+            lo, hi = float(part[k - 1]), float(part[k:].min())
     else:
         total = instance.total_volume
         target = total - V
@@ -593,7 +603,9 @@ def _result(instance, work, rho, tau, budget, trivial=None):
     ``work``, certified by D_inf(tau) = -(tau V + sum max(0, w - tau v)),
     the penalty-free dual at sigma = |theta|, summed from (w, v, tau)."""
     tau = float(tau)
-    dual = -(tau * budget + float(np.maximum(work.w - tau * work.v, 0.0).sum()))
+    excess = work.w - tau * work.v
+    np.maximum(excess, 0.0, out=excess)
+    dual = -(tau * budget + float(excess.sum()))
     gain = float(np.dot(instance.w, rho))
     work_gain = gain if work is instance else float(np.dot(work.w, rho))
     cert = Certificate(
@@ -651,7 +663,7 @@ def solve(instance, V_gamma=None, params=None):
             )
     # the kept set is read off the interval, not off the sign of theta: the
     # midpoint of a one-ulp interval can round onto an endpoint
-    rho = np.where(work.ratios() > tc.lo, 1.0, 0.0)
+    rho = (work.ratios() > tc.lo).astype(float)
     tau = p.tau0 if tc.lo < p.tau0 < tc.hi else tc.value
     result = _result(instance, work, rho, tau, budget)
     cert = result.certificate

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,6 +251,22 @@ def test_tau_critical_single_element_scan_oracle():
     assert (tc.lo, tc.hi) == (0.0, 1.0)
     F_min = F_min_oracle(inst, 1.0)
     assert F_of(inst, 1.0, tc.value) <= F_min + 1e-12 * abs(F_min)
+
+
+@pytest.mark.parametrize("V, calls", [(0.5, 1), (0.25, 1), (0.75, 1), (1.0, 0), (0.05, 0)])
+def test_equal_volume_tau_critical_makes_one_single_rank_selection(V, calls):
+    # at k = 0 and k = n priced-out elements an interval end is a plain
+    # extreme of the ratios, and no selection is needed
+    inst = make(np.linspace(2.0, 0.5, 16), np.full(16, 1 / 16), V)
+    partition, kths = np.partition, []
+    with mock.patch.object(np, "partition",
+                           lambda a, kth, *args, **kw: kths.append(kth) or partition(a, kth, *args, **kw)):
+        tc = kp.tau_critical(inst)
+    assert len(kths) == calls
+    assert all(np.ndim(kth) == 0 for kth in kths)
+    r = np.sort(inst.ratios())
+    m = 16 - kp.affordable_count(inst.v, V)
+    assert (tc.lo, tc.hi) == (r[m - 1] if m else 0.0, r[m] if m < 16 else math.inf)
 
 
 def test_tau_critical_minimizes_scan_oracle_random():
@@ -526,15 +543,53 @@ def test_brute_force_chunked_path():
 # instance and type validation
 # ---------------------------------------------------------------------------
 
+FINITE = "w and v must be finite"
+POSITIVE = "all volumes must be positive"
+NONNEGATIVE = "all gains must be nonnegative"
+BUDGET = "V_target must lie in"
+NAN, INF = math.nan, math.inf
+
+VALIDATION_CASES = [
+    ([1.0, NAN], [1.0, 1.0], 1.0, FINITE),
+    ([INF, 1.0], [1.0, 1.0], 1.0, FINITE),
+    ([1.0, -INF], [1.0, 1.0], 1.0, FINITE),
+    ([1.0, 1.0], [NAN, 1.0], 1.0, FINITE),
+    ([1.0, 1.0], [1.0, INF], 1.0, FINITE),
+    ([1.0, 1.0], [-INF, 1.0], 1.0, FINITE),
+    ([1.0], [0.0], 0.5, POSITIVE),
+    ([1.0, 1.0], [1.0, -0.0], 0.5, POSITIVE),
+    ([1.0, 1.0], [-1.0, 1.0], 0.5, POSITIVE),
+    ([-1.0], [1.0], 0.5, NONNEGATIVE),
+    ([1.0, -1e-300], [1.0, 1.0], 0.5, NONNEGATIVE),
+    # mixed failures: finite, then volumes, then gains
+    ([-1.0, NAN], [0.0, 1.0], 0.5, FINITE),
+    ([-1.0, 1.0], [0.0, INF], 0.5, FINITE),
+    ([-INF, 1.0], [-1.0, 1.0], 0.5, FINITE),
+    ([-1.0, 1.0], [1.0, 0.0], 0.5, POSITIVE),
+    ([-1.0, 1.0], [1.0, -0.0], 0.5, POSITIVE),
+    ([1.0], [1.0], 0.0, BUDGET),
+    ([1.0], [1.0], 1.5, BUDGET),
+    ([-1.0], [1.0], 0.0, NONNEGATIVE),
+    ([1.0, 1.0], [1.0], 0.5, "1-D sequences of equal length"),
+    ([], [], 0.5, "1-D sequences of equal length"),
+]
+
+
 def test_instance_validation():
-    with pytest.raises(ValueError):
-        make([1.0], [0.0], 0.5)
-    with pytest.raises(ValueError):
-        make([-1.0], [1.0], 0.5)
-    with pytest.raises(ValueError):
-        make([1.0], [1.0], 0.0)
-    with pytest.raises(ValueError):
-        make([1.0], [1.0], 1.5)
+    for w, v, V, message in VALIDATION_CASES:
+        with pytest.raises(ValueError, match=message):
+            make(w, v, V)
+
+
+def test_instance_accepts_a_negative_zero_gain():
+    inst = make([-0.0, 1.0], [1.0, 1.0], 1.0)
+    assert inst.ratios().tolist() == [0.0, 1.0]
+
+
+def test_equal_volume_flag_is_exact():
+    assert make([1.0, 2.0], [0.5, 0.5], 0.5).equal_volumes()
+    assert not make([1.0, 2.0], [0.5, np.nextafter(0.5, 1.0)], 0.5).equal_volumes()
+    assert not make([1.0, 2.0], [np.nextafter(0.5, 0.0), 0.5], 0.5).equal_volumes()
 
 
 def test_instance_ratios_are_read_only():

@@ -10,6 +10,7 @@ unequal volumes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cdtopt import knapsack as kp
@@ -139,6 +140,54 @@ def test_tau_critical_equals_the_sort_oracle(inst, k):
     for case in (inst, scaled):
         tc = kp.tau_critical(case)
         assert (tc.value, tc.lo, tc.hi) == sorted_interval(case)
+
+
+def stream_gains(n, seed):
+    """Log-normal gains with about 5% zeros, and their ascending order."""
+    rng = np.random.default_rng(seed)
+    w = rng.lognormal(np.log(0.01), 1.0, n)
+    w[rng.random(n) < 0.05] = 0.0
+    return w, np.argsort(w, kind="stable")
+
+
+def stream_sized_instance(gains, k, tie):
+    """Equal-volume instance whose budget prices out the k smallest of
+    ``gains`` (with their order), with a built tie at the margin: a run of
+    equal ratios across it (``straddle``), ending at it from below
+    (``below``) or starting at it (``above``), zero gains up to and past
+    it (``zeros``), a one-ulp gap (``ulp``) or none (``none``)."""
+    w, order = gains[0].copy(), gains[1]
+    n = w.size
+    at = w[order[min(k, n - 1)]]
+    if tie == "straddle":
+        w[order[max(k - 3, 0):k + 3]] = at
+    elif tie == "below":
+        w[order[max(k - 4, 0):k]] = w[order[max(k - 1, 0)]]
+    elif tie == "above":
+        w[order[k:k + 4]] = at
+    elif tie == "zeros":
+        w[order[:k + 3]] = 0.0
+    elif tie == "ulp" and 0 < k < n:
+        w[order[k]] = np.nextafter(w[order[k - 1]], np.inf)
+    m = n - k
+    V = (m + 0.5) / n if m < n else 1.0
+    return kp.KnapsackInstance(w, np.full(n, 1.0 / n), V)
+
+
+@pytest.mark.parametrize("tie", ["straddle", "below", "above", "zeros", "ulp", "none"])
+@pytest.mark.parametrize("n", [2000, 4801])
+def test_tau_critical_equals_the_sort_oracle_at_stream_sizes(n, tie):
+    gains = stream_gains(n, n)
+    ends = (0, 1, n - 1, n)
+    # a selection may happen to leave the next larger ratio beside the
+    # k-th at most ranks; the sweep makes a rank where it does not likely
+    for k in (*ends, *range(2, n - 1, 23)):
+        inst = stream_sized_instance(gains, k, tie)
+        assert n - kp.affordable_count(inst.v, kp.effective_budget(inst)) == k
+        scaled = (volume_scaled(inst, -7), volume_scaled(inst, 2)) if k in ends else ()
+        for case in (inst, *scaled):
+            tc = kp.tau_critical(case)
+            assert (tc.value, tc.lo, tc.hi) == sorted_interval(case)
 
 
 @st.composite
