@@ -165,14 +165,13 @@ class KnapsackInstance:
         w, v = self.w, self.v
         if w.ndim != 1 or v.shape != w.shape or w.size < 1:
             raise ValueError("w and v must be 1-D sequences of equal length >= 1")
-        v_min, v_max = v.min(), v.max()
-        # four extremes decide validity (a nan makes its array's extremes nan);
-        # only an invalid instance is scanned again, check by check, for its message
-        if not (0.0 <= w.min() and w.max() < math.inf and 0.0 < v_min and v_max < math.inf):
-            if not np.all(np.isfinite(w)) or not np.all(np.isfinite(v)):
-                raise ValueError("w and v must be finite")
-            if np.any(v <= 0.0):
-                raise ValueError("all volumes must be positive")
+        # a nan makes its array's extremes nan, so the extremes decide every check
+        w_min, w_max, v_min, v_max = w.min(), w.max(), v.min(), v.max()
+        if not all(map(math.isfinite, (w_min, w_max, v_min, v_max))):
+            raise ValueError("w and v must be finite")
+        if v_min <= 0.0:
+            raise ValueError("all volumes must be positive")
+        if w_min < 0.0:
             raise ValueError("all gains must be nonnegative")
         total = float(v.sum())
         if not 0.0 < self.V_target <= total * (1.0 + 1e-9):

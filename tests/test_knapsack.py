@@ -576,9 +576,15 @@ VALIDATION_CASES = [
 
 
 def test_instance_validation():
+    # every case runs; a failure names the inputs of each case that went wrong
+    wrong = []
     for w, v, V, message in VALIDATION_CASES:
-        with pytest.raises(ValueError, match=message):
-            make(w, v, V)
+        try:
+            with pytest.raises(ValueError, match=message):
+                make(w, v, V)
+        except (Exception, pytest.fail.Exception) as exc:
+            wrong.append(f"w={w} v={v} V={V}: {exc}")
+    assert not wrong, "\n".join(wrong)
 
 
 def test_instance_accepts_a_negative_zero_gain():
