@@ -146,9 +146,9 @@ def _readonly(a):
 class KnapsackInstance:
     """Gains ``w``, volumes ``v`` and budget ``V_target`` of one instance.
 
-    The total volume, the read-only gain/volume ratios and the
-    equal-volume flag are computed once, on construction; a changed copy
-    (``dataclasses.replace``, :func:`perturb`) computes its own.
+    The total volume, the read-only gain/volume ratios, the equal-volume
+    flag and the extremes validated on are computed once, on construction;
+    a changed copy (``dataclasses.replace``, :func:`perturb`) computes its own.
     """
 
     w: np.ndarray
@@ -157,6 +157,8 @@ class KnapsackInstance:
     total_volume: float = field(init=False, repr=False, compare=False)
     _ratios: np.ndarray = field(init=False, repr=False, compare=False)
     _equal_volumes: bool = field(init=False, repr=False, compare=False)
+    _w_max: float = field(init=False, repr=False, compare=False)
+    _v_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", _readonly(self.w))
@@ -183,6 +185,8 @@ class KnapsackInstance:
         object.__setattr__(self, "total_volume", total)
         object.__setattr__(self, "_ratios", ratios)
         object.__setattr__(self, "_equal_volumes", bool(v_min == v_max))
+        object.__setattr__(self, "_w_max", float(w_max))
+        object.__setattr__(self, "_v_min", float(v_min))
 
     @property
     def n(self):
@@ -534,7 +538,8 @@ def tau_critical(instance, V_gamma=None):
     v, n = instance.v, instance.n
     r = instance.ratios()
     if instance.equal_volumes():
-        k = n - affordable_count(v, V)
+        # V is a whole number of volumes already, so the quotient rounds back to it
+        k = n - round(V / float(v[0]))
         if k == 0:
             lo, hi = 0.0, float(r.min())
         elif k == n:
@@ -597,26 +602,39 @@ def perturb(instance, epsilon):
 # orchestration
 # ---------------------------------------------------------------------------
 
+def _own_density(rho):
+    # rho is a kept set solve has just made (np.ones, np.zeros or a mask cast):
+    # a fresh {0,1} float array held nowhere else, which needs no copy or check
+    rho.flags.writeable = False
+    density = object.__new__(BinaryDensity)
+    object.__setattr__(density, "rho", rho)
+    return density
+
+
 def _result(instance, work, rho, tau, budget, trivial=None):
     """Solve result for ``rho`` at multiplier ``tau`` on the solved copy
     ``work``, certified by D_inf(tau) = -(tau V + sum max(0, w - tau v)),
     the penalty-free dual at sigma = |theta|, summed from (w, v, tau)."""
     tau = float(tau)
-    excess = work.w - tau * work.v
+    v = work.v[0] if work.equal_volumes() else work.v  # the same tau * v_e each
+    excess = work.w - tau * v
     np.maximum(excess, 0.0, out=excess)
     dual = -(tau * budget + float(excess.sum()))
     gain = float(np.dot(instance.w, rho))
     work_gain = gain if work is instance else float(np.dot(work.w, rho))
+    residual = abs(-work_gain - dual)
+    if not all(map(math.isfinite, (gain, dual, residual))):
+        raise NonFinite(f"certificate gain {gain}, D_inf {dual}, gap {residual}")
     cert = Certificate(
         primal_objective=-gain,
         gain=gain,
         dual_objective=dual,
-        residual=abs(-work_gain - dual),
+        residual=residual,
         budget=budget,
         perturbed=work is not instance,
         trivial=trivial,
     )
-    return SolveResult(BinaryDensity(rho), tau, cert, work)
+    return SolveResult(_own_density(rho), tau, cert, work)
 
 
 def solve(instance, V_gamma=None, params=None):
@@ -631,7 +649,7 @@ def solve(instance, V_gamma=None, params=None):
     (and must have an interval, or :class:`Unsolved` is raised), without it
     :class:`DegenerateInstance` is raised.  The certificate's primal
     objective refers to the original gains even when a perturbed copy was
-    solved.
+    solved.  A gain, D_inf or gap that is not finite raises :class:`NonFinite`.
     """
     p = params or SolveParams()
     budget = effective_budget(instance, V_gamma)
@@ -640,7 +658,7 @@ def solve(instance, V_gamma=None, params=None):
     if budget >= instance.total_volume * (1.0 - 1e-12):
         return _result(instance, instance, np.ones(n), 0.0, budget,
                        "budget admits every element")
-    if budget < float(np.min(instance.v)) * (1.0 - 1e-12):
+    if budget < instance._v_min * (1.0 - 1e-12):
         tau = 1.0 + 2.0 * float(np.max(instance.ratios()))
         return _result(instance, instance, np.zeros(n), tau, budget,
                        "budget admits no element")
@@ -653,7 +671,7 @@ def solve(instance, V_gamma=None, params=None):
                 f"critical multiplier {tc.value:g} is the ratio of a tie at the "
                 "margin; multiple optima", report=tc
             )
-        work = perturb(instance, p.perturb_scale * (float(instance.w.max()) or 1.0))
+        work = perturb(instance, p.perturb_scale * (instance._w_max or 1.0))
         tc = tau_critical(work, budget)
         if not tc.is_interval:
             raise Unsolved(
@@ -666,7 +684,7 @@ def solve(instance, V_gamma=None, params=None):
     tau = p.tau0 if tc.lo < p.tau0 < tc.hi else tc.value
     result = _result(instance, work, rho, tau, budget)
     cert = result.certificate
-    if cert.residual > GAP_RTOL * abs(cert.dual_objective):
+    if not cert.residual <= GAP_RTOL * abs(cert.dual_objective):
         raise Unsolved(f"certificate gap {cert.residual:.3e} at tau = {tau:g}",
                        diagnosis=cert)
     return result

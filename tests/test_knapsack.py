@@ -440,6 +440,35 @@ def test_solve_certificate_rejects_a_wrong_interval(monkeypatch):
         kp.solve(inst)
 
 
+@pytest.mark.parametrize("w, v, V", [
+    ([1e308, 1e308, 1e300], [1 / 3] * 3, 2 / 3),   # gain inf, D_inf -inf, gap nan
+    ([1.5e308, 1.5e308, 1.0], [1 / 3] * 3, 2 / 3),
+    ([1e308, 1e308], [1.0, 1.0], 2.0),              # budget admits every element
+    ([1e308, 1.0], [1.0, 1.0], 0.5),                # budget admits no element
+])
+def test_solve_raises_on_a_non_finite_certificate(w, v, V):
+    # a nan gap compares False against any bound, so it must be caught as such
+    with np.errstate(over="ignore", invalid="ignore"):
+        inst = make(w, v, V)
+        with pytest.raises(kp.NonFinite):
+            kp.solve(inst)
+
+
+def test_equal_volume_solve_trusts_its_own_kept_set_and_extremes():
+    # the kept set is frozen in place, not copied, and the instance's
+    # validated extremes are reused, not recomputed from v
+    inst = make(np.linspace(2.0, 0.5, 16), np.full(16, 1 / 16), 0.5)
+    readonly, np_min, copied, reduced = kp._readonly, np.min, [], []
+    with mock.patch.object(kp, "_readonly", lambda a: copied.append(a) or readonly(a)), \
+         mock.patch.object(np, "min", lambda a, *args, **kw: reduced.append(a) or np_min(a, *args, **kw)):
+        res = kp.solve(inst)
+    assert not res.certificate.perturbed and res.certificate.trivial is None
+    assert copied == []
+    assert not any(a is inst.v for a in reduced)
+    assert res.density.rho.tolist() == [1.0] * 8 + [0.0] * 8
+    assert not res.density.rho.flags.writeable
+
+
 def test_solve_degenerate_raises_without_perturbation():
     with pytest.raises(kp.DegenerateInstance):
         kp.solve(make([2.0, 2.0], [1.0, 1.0], 1.0), params=kp.SolveParams(perturb=False))
@@ -612,9 +641,20 @@ def test_dual_point_validation():
         kp.DualPoint(np.array([1.0]), -0.1)
 
 
-def test_binary_density_validation():
-    with pytest.raises(ValueError):
-        kp.BinaryDensity(np.array([0.5]))
+@pytest.mark.parametrize("x", [0.5, math.nan, math.inf, -math.inf, -1.0, 2.0,
+                               np.nextafter(1.0, 2.0), 5e-324])
+def test_binary_density_validation(x):
+    with pytest.raises(ValueError, match="exactly"):
+        kp.BinaryDensity(np.array([0.0, 1.0, x]))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1.0])
+def test_binary_density_accepts_zero_and_one_and_copies(x):
+    given = np.array([1.0, x])
+    density = kp.BinaryDensity(given)
+    given[:] = 0.5
+    assert density.rho.tolist() == [1.0, x]
+    assert not density.rho.flags.writeable
 
 
 def test_effective_budget_snapping():
