@@ -1,25 +1,24 @@
-"""Reference methods: penalized continuous densities with optimality-criteria
-updates (SIMP), and the greedy keep-the-most-energetic-elements scheme (BESO)
-run in the dual solver's outer loop.  :data:`METHODS` names every method
-for the command line; :func:`method_config` builds a method's config, and
-checks every value, before :func:`run_method` runs it.
+"""Reference methods on the driver's one outer loop: penalized continuous
+densities with optimality-criteria updates (SIMP), and the greedy
+keep-the-most-energetic-elements selection (BESO) on CDT's schedule.
+:data:`METHODS` names every method for the command line; :func:`method_config`
+builds a method's config, and checks every value, before :func:`run_method` runs it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import knapsack
-from .driver import (CdtConfig, IterationRecord, RunRecord, check_energies, check_volfrac,
-                     outer_loop, run_cdt)
-# assemble stays bound: the benchmark's tracer wraps baselines.assemble by name
-from .fem import assemble, compliance, element_energies, moduli, solve_equilibrium  # noqa: F401
+from .driver import CdtConfig, check_volfrac, outer_loop, run_cdt, run_selection
+# assemble and solve_equilibrium stay bound only because the benchmark's
+# tracer wraps baselines.assemble and baselines.solve_equilibrium by name
+from .fem import assemble, element_energies, moduli, solve_equilibrium  # noqa: F401
 
 __all__ = [
     "SimpConfig",
@@ -180,57 +179,33 @@ def _oc_update(x, dc, volfrac):
 
 
 def run_simp(model, volfrac, config=None):
-    """Penalized continuous optimization with OC updates.
+    """Penalized continuous optimization with OC updates from the uniform
+    design ``volfrac``, on the driver's outer loop with strict solves.
 
     Returns (densities, Displacement, RunRecord).  Non-convergence within
     the iteration cap is reported through record.converged, not raised.
     """
     cfg = config or SimpConfig()
     check_simp_volfrac(volfrac)
-    mesh, mat = model.mesh, model.material
-    n = mesh.n_elements
-    v = mesh.element_volumes()
-    x = np.full(n, volfrac)
-    H, Hs = _filter_matrix(mesh, cfg.rmin)
-    record = RunRecord(method="simp")
-    for it in range(1, cfg.max_outer + 1):
-        t0 = time.perf_counter()
-        # an overflowing load is reported by check_energies, not by numpy
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = solve_equilibrium(model, x, penal=cfg.penal)
-            t1 = time.perf_counter()
-            w = element_energies(model, u)      # full-modulus gains
-        check_energies(w, "simp", it)
-        ce = 2.0 * w / mat.E                    # unit-modulus u_e.K_e u_e
-        dc = -cfg.penal * x ** (cfg.penal - 1.0) * (mat.E - mat.E_min) * ce
+    E, E_min = model.material.E, model.material.E_min
+    H, Hs = _filter_matrix(model.mesh, cfg.rmin)
+
+    def step(w, v, x):
+        ce = 2.0 * w / E                        # unit-modulus u_e.K_e u_e
+        dc = -cfg.penal * x ** (cfg.penal - 1.0) * (E - E_min) * ce
         if cfg.ft == 1:
             dc = (H @ (x * dc)) / Hs / np.maximum(1e-3, x)
         xnew, bisections = _oc_update(x, dc, volfrac)
-        change = float(np.max(np.abs(xnew - x)))
-        t2 = time.perf_counter()
         E_x = moduli(model, x, cfg.penal)       # 1/2 u.K(x)u = E_x.w / E
-        record.rows.append(IterationRecord(
-            gamma=it,
-            inner_iters=bisections,
-            volume=float(np.dot(v, xnew)),
-            compliance=compliance(u, model.load),
-            strain_energy=float(np.dot(E_x, w)) / mat.E,
-            P_u=-float(np.dot(w, xnew)),
-            P_dual=math.nan,
-            elapsed_ms=(t2 - t0) * 1e3,
-            V_gamma=volfrac,
-            fem_ms=(t1 - t0) * 1e3,
-            update_ms=(t2 - t1) * 1e3,
-            residual=u.residual,
-        ))
-        x = xnew
-        if change <= cfg.omega2:
-            record.converged = True
-            break
-    u_final = solve_equilibrium(model, x, penal=cfg.penal)
-    record.final_compliance = compliance(u_final, model.load)
-    record.final_volume = float(np.dot(v, x))
-    return x, u_final, record
+        fields = dict(inner_iters=bisections, strain_energy=float(np.dot(E_x, w)) / E,
+                      P_u=-float(np.dot(w, xnew)), P_dual=math.nan, V_gamma=volfrac)
+        return xnew, fields, float(np.max(np.abs(xnew - x))) <= cfg.omega2
+
+    # full-modulus gains; element_energies is looked up here on each call,
+    # where the benchmark's tracer wraps it
+    return outer_loop(model, "simp", np.full(model.mesh.n_elements, volfrac),
+                      lambda model, x, u: element_energies(model, u), step,
+                      cfg.max_outer, penal=cfg.penal, strict=True)
 
 
 def beso_select(w, v, budget, current):
@@ -247,14 +222,14 @@ def beso_select(w, v, budget, current):
 def run_beso(model, config):
     """Greedy evolutionary baseline on the shared volume schedule.
 
-    The outer loop, :class:`CdtConfig`, schedule and stop rule of the
-    dual-knapsack driver, with :func:`beso_select` as the selection step.
+    CDT's run (:func:`cdtopt.driver.run_selection`: :class:`CdtConfig`,
+    schedule and stop rule), with :func:`beso_select` as the selection step.
     """
 
     def select(w, v, V_g, rho):
         return beso_select(w, v, V_g, rho), {"inner_iters": 1, "P_dual": math.nan}
 
-    return outer_loop(model, config, "beso", select)
+    return run_selection(model, config, "beso", select)
 
 
 # method name -> (config class, run(model, volfrac, config))

@@ -1,13 +1,12 @@
-"""Outer optimization loop: alternate equilibrium solves with analytic
-knapsack updates under a geometric volume-reduction schedule.
+"""The one outer loop of every method, and CDT's run on it.
 
-Each outer step solves the elastic equilibrium at the current layout,
-scores every element by the strain energy it would store, and re-selects
-the kept subset at the scheduled budget V_g = max(V_c, mu * V_{g-1}).
-The loop stops once the budget has reached its target and the selection
-objective has settled, or, unconverged, at its iteration cap.
-:func:`run_cdt` selects with the dual knapsack solver; BESO
-(:func:`cdtopt.baselines.run_beso`) runs the same loop with a greedy selector.
+:func:`outer_loop` alternates equilibrium solves with a method's step and
+owns what the methods share: the timed solve, the energy check, the
+residual warning, the per-step record, the cap and the final strict solve.
+:func:`run_selection` re-selects the kept subset of CDT and BESO at the
+scheduled budget V_g = max(V_c, mu * V_{g-1}) until the budget has reached
+its target and the selection objective has settled.  :func:`run_cdt` selects
+with the dual knapsack solver; BESO and SIMP live in :mod:`cdtopt.baselines`.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ __all__ = [
     "volume_schedule",
     "stored_energy_gains",
     "outer_loop",
+    "run_selection",
     "run_cdt",
 ]
 
@@ -128,59 +128,74 @@ def stored_energy_gains(model, rho, u):
     return element_energies(model, u) * (moduli(model, rho, 1.0) / model.material.E)
 
 
-def outer_loop(model, config, method, select):
-    """Shared outer loop of CDT and BESO, from the fully solid design.
+def outer_loop(model, method, rho, score, step, max_outer, penal=1.0, strict=False):
+    """The outer loop of every method, from the design ``rho``.
 
-    Each step solves equilibrium, scores the elements and calls
-    ``select(w, v, V_g, rho)``, which returns the new layout and its own
-    record fields.  A step whose solve misses ``fem.RESIDUAL_TOL`` is logged
-    as a warning.  Returns (BinaryDensity, final Displacement, RunRecord);
-    a run that ends at max_outer without meeting the stop rule returns
-    with ``record.converged`` False.
+    Each step solves equilibrium at ``penal``, scores the elements with
+    ``score(model, rho, u)`` and calls ``step(w, v, rho)`` (``v``: element
+    volumes), which returns the next design, its record fields and whether
+    the run has converged.  A ``strict`` in-loop solve raises on a residual
+    above ``fem.RESIDUAL_TOL``; otherwise the step is logged as a warning.
+    Returns (design, final Displacement, RunRecord), with
+    ``record.converged`` False at ``max_outer``.
     """
     v = model.mesh.element_volumes()
-    rho = np.ones(model.mesh.n_elements)
-    V_g = 1.0  # V0 = 1 by construction
     record = RunRecord(method=method)
-    for gamma in range(1, config.max_outer + 1):
+    for gamma in range(1, max_outer + 1):
         t0 = time.perf_counter()
         # an overflowing load is reported by check_energies, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
-            u = solve_equilibrium(model, rho, strict=False)
+            u = solve_equilibrium(model, rho, penal, strict)
             t1 = time.perf_counter()
-            w = stored_energy_gains(model, rho, u)
+            w = score(model, rho, u)
         check_energies(w, method, gamma)
         if u.residual > RESIDUAL_TOL:
             log.warning("%s step %d: equilibrium residual %.3e exceeds %g",
                         method, gamma, u.residual, RESIDUAL_TOL)
-        V_g = volume_schedule(V_g, config.mu, config.volfrac)
-        rho_new, fields = select(w, v, V_g, rho)
+        rho_new, fields, converged = step(w, v, rho)
         t2 = time.perf_counter()
-        gain = float(np.dot(w, rho_new))
-        if gamma == 1:
-            P_prev = -float(np.dot(w, rho))  # reference: previous layout, same gains
         record.rows.append(IterationRecord(
             gamma=gamma,
             volume=float(np.dot(v, rho_new)),
             compliance=compliance(u, model.load),
-            strain_energy=gain,
-            P_u=-gain,
             elapsed_ms=(t2 - t0) * 1e3,
-            V_gamma=V_g,
             fem_ms=(t1 - t0) * 1e3,
             update_ms=(t2 - t1) * 1e3,
             residual=u.residual,
             **fields,
         ))
         rho = rho_new
-        if abs(-gain - P_prev) <= config.omega2 and V_g <= config.volfrac + 1e-12:
+        if converged:
             record.converged = True
             break
-        P_prev = -gain
-    u_final = solve_equilibrium(model, rho)
+    u_final = solve_equilibrium(model, rho, penal)
     record.final_compliance = compliance(u_final, model.load)
     record.final_volume = float(np.dot(v, rho))
-    return knapsack.BinaryDensity(rho), u_final, record
+    return rho, u_final, record
+
+
+def run_selection(model, config, method, select):
+    """CDT's and BESO's :func:`outer_loop` from the solid design: each step
+    keeps the layout and record fields of ``select(w, v, V_g, rho)`` at the
+    next budget V_g, and the run has converged once V_g is at the volume
+    fraction and P_u moved by at most ``omega2``.  Returns (BinaryDensity,
+    final Displacement, RunRecord)."""
+    V_g, P_prev = 1.0, None  # V0 = 1 by construction
+
+    def step(w, v, rho):
+        nonlocal V_g, P_prev
+        V_g = volume_schedule(V_g, config.mu, config.volfrac)
+        rho_new, fields = select(w, v, V_g, rho)
+        gain = float(np.dot(w, rho_new))
+        if P_prev is None:
+            P_prev = -float(np.dot(w, rho))  # reference: previous layout, same gains
+        converged = abs(-gain - P_prev) <= config.omega2 and V_g <= config.volfrac + 1e-12
+        P_prev = -gain
+        return rho_new, dict(strain_energy=gain, P_u=-gain, V_gamma=V_g, **fields), converged
+
+    rho, u, record = outer_loop(model, method, np.ones(model.mesh.n_elements),
+                                stored_energy_gains, step, config.max_outer)
+    return knapsack.BinaryDensity(rho), u, record
 
 
 def run_cdt(model, config):
@@ -201,4 +216,4 @@ def run_cdt(model, config):
         return result.density.rho, dict(
             inner_iters=1, P_dual=result.certificate.dual_objective, tau_end=tau)
 
-    return outer_loop(model, config, "cdt", select)
+    return run_selection(model, config, "cdt", select)

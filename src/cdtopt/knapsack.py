@@ -149,6 +149,7 @@ class KnapsackInstance:
     The total volume, the read-only gain/volume ratios, the equal-volume
     flag and the extremes validated on are computed once, on construction;
     a changed copy (``dataclasses.replace``, :func:`perturb`) computes its own.
+    A gain/volume ratio that overflows raises :class:`NonFinite`.
     """
 
     w: np.ndarray
@@ -180,7 +181,14 @@ class KnapsackInstance:
             raise ValueError(
                 f"V_target must lie in (0, sum(v)]; got {self.V_target} vs {total}"
             )
-        ratios = w / v
+        # a finite w_max / v_min bounds every ratio; past it, the ratios decide
+        if math.isfinite(float(w_max) / float(v_min)):
+            ratios = w / v
+        else:
+            with np.errstate(over="ignore"):
+                ratios = w / v
+            if not math.isfinite(ratios.max()):
+                raise NonFinite("a gain/volume ratio overflows")
         ratios.flags.writeable = False
         object.__setattr__(self, "total_volume", total)
         object.__setattr__(self, "_ratios", ratios)

@@ -3,14 +3,15 @@ import importlib.util
 import json
 import logging
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cdtopt
-from cdtopt import fem, knapsack
-from cdtopt.baselines import run_beso
+from cdtopt import driver, fem, knapsack
+from cdtopt.baselines import method_config, run_beso, run_method, run_simp
 from cdtopt.driver import (
     CdtConfig,
     run_cdt,
@@ -146,26 +147,96 @@ def test_benchmark_tracing_hooks_reach_the_outer_loop():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
-    undo = tracing.instrument(cdtopt, tracer)
-    try:
-        _, _, rec = cdtopt.driver.run_cdt(build_mbb(16, 6), CdtConfig(volfrac=0.5, mu=0.95))
-    finally:
-        undo()
+    model = build_mbb(16, 6)
+    # method -> the run's own span (None: untraced), run
+    runs = {
+        "cdt": ("driver.run_cdt", lambda: cdtopt.driver.run_cdt(
+            model, CdtConfig(volfrac=0.5, mu=0.95))),
+        "beso": (None, lambda: cdtopt.baselines.run_beso(model, CdtConfig(volfrac=0.5, mu=0.95))),
+        "simp": ("baselines.run_simp", lambda: cdtopt.baselines.run_simp(model, 0.5)),
+    }
+    for method, (run_span, run) in runs.items():
+        tracer = tracing.Tracer()
+        undo = tracing.instrument(cdtopt, tracer)
+        try:
+            _, _, rec = run()
+        finally:
+            undo()
+        spans = tracer.take()
+
+        def under_run(span):
+            while span[tracing.PARENT] >= 0:
+                span = spans[span[tracing.PARENT]]
+                if span[tracing.NAME] == run_span:
+                    return True
+            return run_span is None
+
+        nested = [s[tracing.NAME] for s in spans if under_run(s)]
+        # one solve per outer iteration plus the final one; one energy
+        # evaluation and, for CDT, one knapsack per iteration
+        assert nested.count("fem.solve") == rec.outer_iterations + 1, method
+        assert nested.count("fem.energies") == rec.outer_iterations, method
+        if method == "cdt":
+            assert nested.count("knapsack.solve") == rec.outer_iterations
     assert cdtopt.driver.run_cdt is run_cdt
-    spans = tracer.take()
+    assert cdtopt.baselines.run_simp is run_simp
 
-    def under_run_cdt(span):
-        while span[tracing.PARENT] >= 0:
-            span = spans[span[tracing.PARENT]]
-            if span[tracing.NAME] == "driver.run_cdt":
-                return True
-        return False
 
-    nested = [s[tracing.NAME] for s in spans if under_run_cdt(s)]
-    # one solve per outer iteration plus the final one; one knapsack per iteration
-    assert nested.count("fem.solve") == rec.outer_iterations + 1
-    assert nested.count("knapsack.solve") == rec.outer_iterations
+# (builder, dims, volfrac, mu): mbb 12x4 cycles under CDT and BESO, whose
+# final strict solve then fails
+PINNED_CASES = (
+    (build_mbb, (60, 20), 0.4, 0.97),
+    (build_cantilever2d, (16, 6), 0.5, 0.95),   # CDT and BESO warn at step 12
+    (build_mbb, (12, 4), 0.5, 0.95),
+    (build_cantilever3d, (12, 4, 2), 0.4, 0.97),
+)
+TIMING_FIELDS = ("elapsed_ms", "fem_ms", "update_ms")
+
+
+@pytest.mark.parametrize("method, digest", [
+    ("cdt", "f9350aeab94580c12492129afa1085db7b0d3e5292c6fba14557b66176be981c"),
+    ("beso", "826ea7d73a3b51c96d63deab18904f6e7eb0522ee64538c8df9f01b131428db4"),
+    ("simp", "7d9c8457bc49b0d5987e915e332a42cb2666fefa4215de15ab50f753ed327e6e"),
+])
+def test_each_method_keeps_its_whole_record(method, digest):
+    # every record field but the times, the outcome, the final compliance
+    # and volume and the design bytes, or the error a run raised
+    h = hashlib.sha256()
+    for build, dims, volfrac, mu in PINNED_CASES:
+        config = method_config(method, {"volfrac": volfrac, "mu": mu})
+        try:
+            design, record = run_method(method, build(*dims), volfrac, config)
+        except fem.SolverBreakdown as exc:
+            h.update(repr((exc, exc.residual)).encode())
+            continue
+        for row in record.rows:
+            h.update(repr([getattr(row, f.name) for f in fields(row)
+                           if f.name not in TIMING_FIELDS]).encode())
+        h.update(repr((record.converged, record.final_compliance,
+                       record.final_volume)).encode())
+        h.update(design.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_residual_policies_of_the_methods(monkeypatch, caplog):
+    # with a negative bound every solve misses it: SIMP's in-loop solves
+    # are strict, while CDT and BESO log each step and fail only at the
+    # final strict solve
+    monkeypatch.setattr(fem, "RESIDUAL_TOL", -1.0)
+    monkeypatch.setattr(driver, "RESIDUAL_TOL", -1.0)
+    factor, factors = fem.cholesky_banded, []
+    monkeypatch.setattr(fem, "cholesky_banded", lambda *a, **kw: factors.append(1) or factor(*a, **kw))
+    model = build_mbb(12, 4)
+    for method, solves, warned in (("simp", 1, []), ("cdt", 3, [1, 2]), ("beso", 3, [1, 2])):
+        factors.clear()
+        caplog.clear()
+        config = method_config(method, {"volfrac": 0.5, "mu": 0.95, "max_outer": 2})
+        with caplog.at_level(logging.WARNING, logger="cdtopt.driver"), \
+                pytest.raises(fem.SolverBreakdown, match="exceeds -1"):
+            run_method(method, model, 0.5, config)
+        assert len(factors) == solves, method   # one factor per solve
+        steps = [r.getMessage().split(":")[0] for r in caplog.records]
+        assert steps == [f"{method} step {gamma}" for gamma in warned]
 
 
 def test_cdt_3d_near_tie_mirror_pair_converges():

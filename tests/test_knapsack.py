@@ -447,11 +447,10 @@ def test_solve_certificate_rejects_a_wrong_interval(monkeypatch):
     ([1e308, 1.0], [1.0, 1.0], 0.5),                # budget admits no element
 ])
 def test_solve_raises_on_a_non_finite_certificate(w, v, V):
-    # a nan gap compares False against any bound, so it must be caught as such
-    with np.errstate(over="ignore", invalid="ignore"):
-        inst = make(w, v, V)
-        with pytest.raises(kp.NonFinite):
-            kp.solve(inst)
+    # a nan gap compares False against any bound, so it must be caught as
+    # such; the first two instances already raise, on their ratios
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(kp.NonFinite):
+        kp.solve(make(w, v, V))
 
 
 def test_equal_volume_solve_trusts_its_own_kept_set_and_extremes():
@@ -614,6 +613,15 @@ def test_instance_validation():
         except (Exception, pytest.fail.Exception) as exc:
             wrong.append(f"w={w} v={v} V={V}: {exc}")
     assert not wrong, "\n".join(wrong)
+
+
+def test_instance_rejects_a_ratio_that_overflows():
+    # w_max / v_min bounds every ratio; only where it overflows do the
+    # ratios decide, and then without a numpy warning
+    for w, v in (([1e308, 1e308, 1e300], [1 / 3] * 3), ([1.5e308, 1.0], [1 / 3] * 2)):
+        with pytest.raises(kp.NonFinite, match="ratio overflows"):
+            make(w, v, 2 / 3)
+    assert make([1e308, 0.0], [1.0, 1e-10], 0.5).ratios().tolist() == [1e308, 0.0]
 
 
 def test_instance_accepts_a_negative_zero_gain():
