@@ -147,12 +147,11 @@ def test_benchmark_tracing_hooks_reach_the_outer_loop():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    model = build_mbb(16, 6)
+    model, config = build_mbb(16, 6), CdtConfig(volfrac=0.5, mu=0.95)
     # method -> the run's own span (None: untraced), run
     runs = {
-        "cdt": ("driver.run_cdt", lambda: cdtopt.driver.run_cdt(
-            model, CdtConfig(volfrac=0.5, mu=0.95))),
-        "beso": (None, lambda: cdtopt.baselines.run_beso(model, CdtConfig(volfrac=0.5, mu=0.95))),
+        "cdt": ("driver.run_cdt", lambda: cdtopt.driver.run_cdt(model, config)),
+        "beso": (None, lambda: cdtopt.baselines.run_beso(model, config)),
         "simp": ("baselines.run_simp", lambda: cdtopt.baselines.run_simp(model, 0.5)),
     }
     for method, (run_span, run) in runs.items():
