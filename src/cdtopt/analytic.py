@@ -33,11 +33,11 @@ __all__ = [
 @dataclass(frozen=True)
 class TrussSpec:
     """Two-group, two-dof truss with diagonal group stiffnesses
-    diag(a, b) and diag(b, a)."""
+    diag(a, b) and diag(b, a), under the unit load (1, 1) whose first
+    component ``epsilon`` perturbs."""
 
     a: float = (2.0 - math.sqrt(2.0)) / 2.0
     b: float = (4.0 + math.sqrt(2.0)) / 2.0
-    f: tuple = (1.0, 1.0)
     epsilon: float = 0.0
 
     def __post_init__(self):
@@ -101,7 +101,7 @@ def symmetric_truss(spec, perturb=True):
     a, b = spec.a, spec.b
     K1 = np.diag([a, b])
     K2 = np.diag([b, a])
-    f_eps = np.array([spec.f[0] + spec.epsilon, spec.f[1]])
+    f_eps = np.array([1.0 + spec.epsilon, 1.0])
     u0 = np.linalg.solve(K1 + K2, f_eps)
     w = np.array([
         0.5 * (a * u0[0] ** 2 + b * u0[1] ** 2),
@@ -111,7 +111,7 @@ def symmetric_truss(spec, perturb=True):
     result = knapsack.solve(instance, params=knapsack.SolveParams(perturb=perturb))
     rho = result.density.rho
     K = rho[0] * K1 + rho[1] * K2
-    f_nom = np.asarray(spec.f, dtype=float)
+    f_nom = np.ones(2)
     u = np.linalg.solve(K, f_nom)
     potential = 0.5 * u @ K @ u - u @ f_nom
     return result.density, float(potential)
@@ -128,12 +128,11 @@ class CounterexampleResult:
     argmin: tuple                # (rho1, rho2) of the boundary minimizer
 
 
-def _penalized_compliance(a, b, f, p):
-    f1, f2 = f
-
+def _penalized_compliance(a, b, p):
+    # the compliance under the unit load (1, 1)
     def val(r1, r2):
-        return 0.5 * (f1 ** 2 / (a * r1 ** p + b * r2 ** p)
-                      + f2 ** 2 / (b * r1 ** p + a * r2 ** p))
+        return 0.5 * (1.0 / (a * r1 ** p + b * r2 ** p)
+                      + 1.0 / (b * r1 ** p + a * r2 ** p))
 
     return val
 
@@ -156,9 +155,9 @@ def _golden_min(fun, lo, hi, tol=1e-10):
     return x, fun(x)
 
 
-def simp_counterexample(a, b, f=(1.0, 1.0), p=2.0, grid_resolution=1e-4):
-    """Sample the penalized compliance on (0,1]^2 and minimize it on the
-    material-budget boundary rho1 + rho2 = 1.
+def simp_counterexample(a, b, p=2.0, grid_resolution=1e-4):
+    """Sample the penalized compliance under the unit load (1, 1) on
+    (0,1]^2 and minimize it on the material-budget boundary rho1 + rho2 = 1.
 
     Boundary minima are located with a scan at ``grid_resolution``, which
     samples both endpoints as candidates, plus golden-section refinement.
@@ -171,7 +170,7 @@ def simp_counterexample(a, b, f=(1.0, 1.0), p=2.0, grid_resolution=1e-4):
         raise ValueError("p must be finite and positive")
     if not 0.0 < grid_resolution <= 0.5:
         raise ValueError("grid resolution must lie in (0, 0.5]")
-    val = _penalized_compliance(a, b, f, p)
+    val = _penalized_compliance(a, b, p)
     side = np.linspace(0.05, 1.0, 39)
     r1g, r2g = np.meshgrid(side, side, indexing="ij")
     grid = np.column_stack([r1g.ravel(), r2g.ravel(),

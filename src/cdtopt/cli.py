@@ -149,6 +149,9 @@ def parse_cli(argv):
                 seeded.append(f"{flag}={raw}")
             elif raw.lower() in ("1", "true", "yes", "on"):
                 seeded.append(flag)
+            elif raw.lower() not in ("0", "false", "no", "off"):
+                raise UsageError(f"config key {key!r} takes 1/true/yes/on or "
+                                 f"0/false/no/off, not {raw!r}")
         at = argv.index(ns.subcommand) + 1
         ns = parser.parse_args(argv[:at] + seeded + argv[at:])
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import knapsack
-from .fem import RESIDUAL_TOL, compliance, element_energies, moduli, solve_equilibrium
+from . import fem, knapsack
+from .fem import compliance, element_energies, moduli, solve_equilibrium
 
 __all__ = [
     "DriverError",
@@ -149,9 +149,9 @@ def outer_loop(model, method, rho, score, step, max_outer, penal=1.0, strict=Fal
             t1 = time.perf_counter()
             w = score(model, rho, u)
         check_energies(w, method, gamma)
-        if u.residual > RESIDUAL_TOL:
+        if u.residual > fem.RESIDUAL_TOL:
             log.warning("%s step %d: equilibrium residual %.3e exceeds %g",
-                        method, gamma, u.residual, RESIDUAL_TOL)
+                        method, gamma, u.residual, fem.RESIDUAL_TOL)
         rho_new, fields, converged = step(w, v, rho)
         t2 = time.perf_counter()
         record.rows.append(IterationRecord(

@@ -19,7 +19,8 @@ numbers are stated once, by :meth:`Mesh.node_ids` and
   downward on screen.
 
 All elements are unit-sized; element volumes are normalized to 1/n so the
-design domain always has unit volume.
+design domain always has unit volume.  The energy and work functions take
+the :class:`Displacement` a solve returns.
 """
 
 from __future__ import annotations
@@ -433,21 +434,18 @@ def element_energies(model, u):
     """Per-element gains w_e = 1/2 E u_e . K_e u_e at full modulus.
 
     The gain measures what each element would store under the current
-    displacement field, independent of its present density.
+    displacement field ``u``, independent of its present density.
     """
-    uvec = u.u if isinstance(u, Displacement) else np.asarray(u, dtype=float)
-    ue = uvec[model.mesh.element_dofs]
+    ue = u.u[model.mesh.element_dofs]
     w = 0.5 * model.material.E * np.einsum("ni,ij,nj->n", ue, model.ke, ue)
     return np.maximum(w, 0.0)
 
 
 def compliance(u, f):
-    """Work of the applied load at equilibrium, 1/2 f.u."""
-    uvec = u.u if isinstance(u, Displacement) else np.asarray(u, dtype=float)
-    return 0.5 * float(np.dot(np.asarray(f, dtype=float), uvec))
+    """Work of the applied load at the displacement ``u``, 1/2 f.u."""
+    return 0.5 * float(np.dot(np.asarray(f, dtype=float), u.u))
 
 
 def strain_energy(u, K):
-    """Stored energy 1/2 u.K u for a (sparse) stiffness K."""
-    uvec = u.u if isinstance(u, Displacement) else np.asarray(u, dtype=float)
-    return 0.5 * float(uvec @ (K @ uvec))
+    """Stored energy 1/2 u.K u of the displacement ``u`` for a (sparse) stiffness K."""
+    return 0.5 * float(u.u @ (K @ u.u))

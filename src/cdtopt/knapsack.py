@@ -5,9 +5,10 @@ The primal problem is
     min { -w.rho : v.rho <= V,  rho in {0,1}^n },   w >= 0, v > 0,
 
 i.e. keep the subset of elements with the largest total gain within a
-volume budget.  The integer constraint is relaxed through a penalty
-parameter ``beta`` and the problem is mapped to maximizing the strictly
-concave dual
+volume budget V, the instance's ``budget``: its target snapped once, on
+construction, to what a binary design can fill.  The integer constraint
+is relaxed through a penalty parameter ``beta`` and the problem is mapped
+to maximizing the strictly concave dual
 
     D_beta(sigma, tau) = -1/4 * sum_e [ (sigma_e + w_e - tau*v_e)^2 / sigma_e
                                         + sigma_e^2 / beta ] - tau * V
@@ -74,14 +75,15 @@ __all__ = [
     "solve",
     "brute_force",
     "affordable_count",
-    "effective_budget",
 ]
 
 # |theta| at or below this is treated as a vanished cubic right-hand side.
 THETA_TOL = 1e-14
 # Raw recovered densities must sit this close to {0,1} before rounding.
 BINARY_TOL = 1e-6
-# Default cap on the iterations of inner_fixed_point.
+# inner_fixed_point stops once the penalized dual moves by at most OMEGA1,
+# or after MAX_INNER iterations.
+OMEGA1 = 2e-16
 MAX_INNER = 1000
 # A certificate gap |primal - D_inf| above this fraction of |D_inf| fails;
 # rounding of the sums over n elements stays below n * 1.1e-16 of it.
@@ -146,16 +148,21 @@ def _readonly(a):
 class KnapsackInstance:
     """Gains ``w``, volumes ``v`` and budget ``V_target`` of one instance.
 
-    The total volume, the read-only gain/volume ratios, the equal-volume
-    flag and the extremes validated on are computed once, on construction;
-    a changed copy (``dataclasses.replace``, :func:`perturb`) computes its own.
-    A gain/volume ratio that overflows raises :class:`NonFinite`.
+    The total volume, the enforceable ``budget``, the read-only gain/volume
+    ratios, the equal-volume flag and the extremes validated on are computed
+    once, on construction; a changed copy (``dataclasses.replace``,
+    :func:`perturb`) computes its own.  ``budget`` is ``V_target`` capped at
+    the total volume and, for equal volumes, snapped down to a whole number
+    of elements: that leaves the feasible set of v.rho <= V unchanged and
+    keeps the dual away from its degenerate boundary.  A gain/volume ratio
+    that overflows raises :class:`NonFinite`.
     """
 
     w: np.ndarray
     v: np.ndarray
     V_target: float
     total_volume: float = field(init=False, repr=False, compare=False)
+    budget: float = field(init=False, repr=False, compare=False)
     _ratios: np.ndarray = field(init=False, repr=False, compare=False)
     _equal_volumes: bool = field(init=False, repr=False, compare=False)
     _w_max: float = field(init=False, repr=False, compare=False)
@@ -190,9 +197,14 @@ class KnapsackInstance:
             if not math.isfinite(ratios.max()):
                 raise NonFinite("a gain/volume ratio overflows")
         ratios.flags.writeable = False
+        equal = bool(v_min == v_max)
+        budget = min(self.V_target, total)
+        if equal:
+            budget = affordable_count(v, budget) * float(v[0])
         object.__setattr__(self, "total_volume", total)
+        object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "_ratios", ratios)
-        object.__setattr__(self, "_equal_volumes", bool(v_min == v_max))
+        object.__setattr__(self, "_equal_volumes", equal)
         object.__setattr__(self, "_w_max", float(w_max))
         object.__setattr__(self, "_v_min", float(v_min))
 
@@ -297,7 +309,7 @@ class Certificate:
     gain: float                  # w.rho on the original gains
     dual_objective: float        # D_inf at the reported tau on the solved instance
     residual: float              # |primal - D_inf| on the solved instance
-    budget: float                # effective budget actually enforced
+    budget: float                # the solved instance's enforceable budget
     perturbed: bool
     trivial: str | None = None
 
@@ -392,54 +404,50 @@ def sigma_from_theta(theta, beta):
 # dual objective and updates
 # ---------------------------------------------------------------------------
 
-def tau_update(sigma, instance, V_gamma=None):
-    """Volume-multiplier update, clamped to the KKT sign tau >= 0.
+def tau_update(sigma, instance, budget):
+    """Volume-multiplier update at budget V, clamped to the KKT sign tau >= 0.
 
     tau = [sum v_e (1 + w_e / sigma_e) - 2 V] / [sum v_e^2 / sigma_e]
     """
     sig = np.asarray(sigma, dtype=float)
     if np.any(sig <= 0.0):
         raise InvalidDual("tau_update requires sigma > 0")
-    V = instance.V_target if V_gamma is None else float(V_gamma)
     v, w = instance.v, instance.w
-    num = float(np.sum(v * (1.0 + w / sig))) - 2.0 * V
+    num = float(np.sum(v * (1.0 + w / sig))) - 2.0 * float(budget)
     den = float(np.sum(v * v / sig))
     return max(num / den, 0.0)
 
 
-def dual_objective(point, instance, V_gamma=None):
-    """Penalty-free dual value at ``point``; a lower bound on -w.rho."""
-    V = instance.V_target if V_gamma is None else float(V_gamma)
+def dual_objective(point, instance, budget):
+    """Penalty-free dual value at ``point`` and budget V; a lower bound on -w.rho."""
     psi = point.sigma + instance.w - point.tau * instance.v
-    return float(-0.25 * np.sum(psi * psi / point.sigma) - point.tau * V)
+    return float(-0.25 * np.sum(psi * psi / point.sigma) - point.tau * float(budget))
 
 
-def dual_objective_beta(point, instance, V_gamma, beta):
-    """Penalized dual value; strictly concave in (sigma, tau) on sigma > 0."""
+def dual_objective_beta(point, instance, budget, beta):
+    """Penalized dual value at budget V; strictly concave in (sigma, tau)
+    on sigma > 0."""
     if not beta > 0.0:
         raise ValueError("beta must be positive")
-    V = instance.V_target if V_gamma is None else float(V_gamma)
     psi = point.sigma + instance.w - point.tau * instance.v
     quad = np.sum(psi * psi / point.sigma)
     pen = np.sum(point.sigma * point.sigma) / beta
-    return float(-0.25 * (quad + pen) - point.tau * V)
+    return float(-0.25 * (quad + pen) - point.tau * float(budget))
 
 
-def inner_fixed_point(instance, V_gamma, beta, tau0=1.0, omega1=2e-16,
-                      max_iters=MAX_INNER):
-    """Alternate the per-element cubic solve with the tau update.
+def inner_fixed_point(instance, budget, beta, tau0=1.0):
+    """Alternate the per-element cubic solve with the tau update at ``budget``.
 
-    Stops when the penalized dual value changes by at most ``omega1``.
+    Stops when the penalized dual value changes by at most :data:`OMEGA1`,
+    or stalls after :data:`MAX_INNER` iterations.
     Exact theta_e = 0 hits along the way are escaped by a deterministic
     upward nudge of tau; a persistent hit (symmetric tie pulling tau back
     onto a breakpoint) raises :class:`DegenerateTheta` with the element.
     """
     if tau0 < 0.0:
         raise ValueError("tau0 must be nonnegative")
-    if not (omega1 > 0.0 and max_iters >= 1):
-        raise ValueError("omega1 > 0 and max_iters >= 1 required")
     v, w = instance.v, instance.w
-    V = float(V_gamma)
+    V = float(budget)
     b = float(beta)
     tau = float(tau0)
     nudges = 0
@@ -448,7 +456,7 @@ def inner_fixed_point(instance, V_gamma, beta, tau0=1.0, omega1=2e-16,
     obj = math.nan
     delta = math.inf
     sigma = None
-    for k in range(1, max_iters + 1):
+    for k in range(1, MAX_INNER + 1):
         theta = tau * v - w
         while np.any(np.abs(theta) <= THETA_TOL):
             nudges += 1
@@ -467,7 +475,7 @@ def inner_fixed_point(instance, V_gamma, beta, tau0=1.0, omega1=2e-16,
             raise NonFinite(f"non-finite dual state at inner iteration {k}")
         if prev_obj is not None:
             delta = abs(obj - prev_obj)
-            if delta <= omega1:
+            if delta <= OMEGA1:
                 return InnerResult(point, k, True, False, obj, delta)
         # a tau revisit two steps back means a rounding-level 2-cycle:
         # nothing further can change, report the stall now
@@ -475,7 +483,7 @@ def inner_fixed_point(instance, V_gamma, beta, tau0=1.0, omega1=2e-16,
             return InnerResult(point, k, False, True, obj, delta)
         prev_taus = (prev_taus[1], tau)
         prev_obj = obj
-    return InnerResult(DualPoint(sigma, tau), max_iters, False, True, obj,
+    return InnerResult(DualPoint(sigma, tau), MAX_INNER, False, True, obj,
                        delta if math.isfinite(delta) else math.inf)
 
 
@@ -509,27 +517,13 @@ def affordable_count(v, budget):
     return max(0, min(v.size, m))
 
 
-def effective_budget(instance, V=None):
-    """Budget actually enforceable by a binary design.
-
-    With equal element volumes the feasible set of v.rho <= V is unchanged
-    by snapping V down to a whole number of elements; doing so keeps the
-    dual problem away from its degenerate boundary.  Unequal volumes are
-    left as given.
-    """
-    V = instance.V_target if V is None else float(V)
-    V = min(V, instance.total_volume)
-    if instance.equal_volumes():
-        return affordable_count(instance.v, V) * float(instance.v[0])
-    return V
-
-
 # ---------------------------------------------------------------------------
 # uniqueness diagnosis
 # ---------------------------------------------------------------------------
 
-def tau_critical(instance, V_gamma=None):
-    """Minimize sum_e (|w_e - tau v_e| - tau v_e) + 2 tau V over tau >= 0.
+def tau_critical(instance):
+    """Minimize sum_e (|w_e - tau v_e| - tau v_e) + 2 tau V over tau >= 0,
+    at the instance's budget V.
 
     The objective is piecewise linear and convex with breakpoints at the
     gain/volume ratios; its slope on a ratio-free segment is
@@ -542,7 +536,7 @@ def tau_critical(instance, V_gamma=None):
     minimum is the (k+1)-th (none is needed at k = 0 or k = n); unequal
     volumes sort.  Scaling v and V together changes nothing.
     """
-    V = effective_budget(instance, V_gamma)
+    V = instance.budget
     v, n = instance.v, instance.n
     r = instance.ratios()
     if instance.equal_volumes():
@@ -576,7 +570,7 @@ def tau_critical(instance, V_gamma=None):
     return TauCritical(lo, lo, lo)
 
 
-def existence_check(instance, V_gamma=None):
+def existence_check(instance):
     """Uniqueness report from the critical interval that :func:`solve` uses.
 
     An open interval makes the ratio-greedy selection the unique optimum.
@@ -584,7 +578,7 @@ def existence_check(instance, V_gamma=None):
     tie at the margin; the instance then needs a symmetry-breaking
     perturbation before the analytic solve applies.
     """
-    tc = tau_critical(instance, V_gamma)
+    tc = tau_critical(instance)
     degenerate = () if tc.is_interval else tuple(
         int(i) for i in np.flatnonzero(instance.ratios() == tc.value))
     return ExistenceReport(
@@ -619,11 +613,11 @@ def _own_density(rho):
     return density
 
 
-def _result(instance, work, rho, tau, budget, trivial=None):
+def _result(instance, work, rho, tau, trivial=None):
     """Solve result for ``rho`` at multiplier ``tau`` on the solved copy
     ``work``, certified by D_inf(tau) = -(tau V + sum max(0, w - tau v)),
     the penalty-free dual at sigma = |theta|, summed from (w, v, tau)."""
-    tau = float(tau)
+    tau, budget = float(tau), work.budget
     v = work.v[0] if work.equal_volumes() else work.v  # the same tau * v_e each
     excess = work.w - tau * v
     np.maximum(excess, 0.0, out=excess)
@@ -645,10 +639,10 @@ def _result(instance, work, rho, tau, budget, trivial=None):
     return SolveResult(_own_density(rho), tau, cert, work)
 
 
-def solve(instance, V_gamma=None, params=None):
+def solve(instance, params=None):
     """Solve the knapsack instance to proven optimality where the dual applies.
 
-    Snaps the budget to element granularity, takes the critical interval
+    At the instance's enforceable ``budget``, takes the critical interval
     (lo, hi) from :func:`tau_critical` and keeps every element with
     ratio w_e / v_e > lo.  The reported tau is ``params.tau0`` when it lies
     strictly inside the interval, else the interval's own value; D_inf at
@@ -660,19 +654,16 @@ def solve(instance, V_gamma=None, params=None):
     solved.  A gain, D_inf or gap that is not finite raises :class:`NonFinite`.
     """
     p = params or SolveParams()
-    budget = effective_budget(instance, V_gamma)
-    n = instance.n
+    budget, n = instance.budget, instance.n
 
     if budget >= instance.total_volume * (1.0 - 1e-12):
-        return _result(instance, instance, np.ones(n), 0.0, budget,
-                       "budget admits every element")
+        return _result(instance, instance, np.ones(n), 0.0, "budget admits every element")
     if budget < instance._v_min * (1.0 - 1e-12):
         tau = 1.0 + 2.0 * float(np.max(instance.ratios()))
-        return _result(instance, instance, np.zeros(n), tau, budget,
-                       "budget admits no element")
+        return _result(instance, instance, np.zeros(n), tau, "budget admits no element")
 
     work = instance
-    tc = tau_critical(work, budget)
+    tc = tau_critical(work)
     if not tc.is_interval:
         if not p.perturb:
             raise DegenerateInstance(
@@ -680,7 +671,7 @@ def solve(instance, V_gamma=None, params=None):
                 "margin; multiple optima", report=tc
             )
         work = perturb(instance, p.perturb_scale * (instance._w_max or 1.0))
-        tc = tau_critical(work, budget)
+        tc = tau_critical(work)
         if not tc.is_interval:
             raise Unsolved(
                 "instance remains degenerate after ramp perturbation "
@@ -690,7 +681,7 @@ def solve(instance, V_gamma=None, params=None):
     # midpoint of a one-ulp interval can round onto an endpoint
     rho = (work.ratios() > tc.lo).astype(float)
     tau = p.tau0 if tc.lo < p.tau0 < tc.hi else tc.value
-    result = _result(instance, work, rho, tau, budget)
+    result = _result(instance, work, rho, tau)
     cert = result.certificate
     if not cert.residual <= GAP_RTOL * abs(cert.dual_objective):
         raise Unsolved(f"certificate gap {cert.residual:.3e} at tau = {tau:g}",

@@ -88,6 +88,26 @@ def test_config_file_seeds_demo_options(tmp_path):
     assert inv.options["no_perturb"] is True
 
 
+@pytest.mark.parametrize("raw,value", [("ON", True), ("Yes", True), ("1", True),
+                                       ("off", False), ("NO", False), ("0", False)])
+def test_config_file_boolean_words(tmp_path, raw, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"ascii_pgm = {raw}\n")
+    assert cli.parse_cli(["run", "--config", str(cfg)]).options["ascii_pgm"] is value
+
+
+@pytest.mark.parametrize("raw", ["maybe", "2", "", "truthy"])
+def test_config_file_rejects_a_non_boolean_for_a_switch(tmp_path, raw):
+    # a value that is neither a true nor a false word is a usage error,
+    # as an unparsable number is, not a silent False
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"ascii_pgm = {raw}\n")
+    with pytest.raises(cli.UsageError, match="ascii_pgm"):
+        cli.parse_cli(["run", "--config", str(cfg)])
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume = 0.3\n")

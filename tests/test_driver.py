@@ -67,9 +67,9 @@ def test_run_cdt_small_mbb_invariants(monkeypatch):
     tau0s = []
     solve = knapsack.solve
 
-    def recording_solve(instance, V_gamma=None, params=None):
+    def recording_solve(instance, params=None):
         tau0s.append(params.tau0)
-        return solve(instance, V_gamma, params)
+        return solve(instance, params)
 
     monkeypatch.setattr(knapsack, "solve", recording_solve)
     dens, u, rec = run_cdt(model, cfg)
@@ -222,7 +222,6 @@ def test_residual_policies_of_the_methods(monkeypatch, caplog):
     # are strict, while CDT and BESO log each step and fail only at the
     # final strict solve
     monkeypatch.setattr(fem, "RESIDUAL_TOL", -1.0)
-    monkeypatch.setattr(driver, "RESIDUAL_TOL", -1.0)
     factor, factors = fem.cholesky_banded, []
     monkeypatch.setattr(fem, "cholesky_banded", lambda *a, **kw: factors.append(1) or factor(*a, **kw))
     model = build_mbb(12, 4)

@@ -485,7 +485,7 @@ def test_building_a_model_computes_no_mesh_or_model_arrays(monkeypatch):
 
 def test_element_energies_zero_displacement():
     model = small_model()
-    w = fem.element_energies(model, np.zeros(model.mesh.n_dofs))
+    w = fem.element_energies(model, fem.Displacement(np.zeros(model.mesh.n_dofs)))
     assert np.all(w == 0.0)
 
 
@@ -518,7 +518,7 @@ def test_compliance_equals_strain_energy_at_equilibrium():
     c = fem.compliance(u, model.load)
     s = fem.strain_energy(u, fem.assemble(model, rho))
     assert abs(c - s) <= 1e-8 * abs(c)
-    assert fem.compliance(np.zeros(model.mesh.n_dofs), model.load) == 0.0
+    assert fem.compliance(fem.Displacement(np.zeros(model.mesh.n_dofs)), model.load) == 0.0
 
 
 def test_mbb_full_density_compliance_regression():

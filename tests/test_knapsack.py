@@ -130,10 +130,10 @@ def test_weak_duality_against_enumeration():
         best = kp.brute_force(inst).objective
         for _ in range(5):
             pt = kp.DualPoint(np.exp(rng.normal(size=n)), rng.uniform(0, 3))
-            assert kp.dual_objective(pt, inst) <= -(-best) + 1e-12  # <= max gain
+            assert kp.dual_objective(pt, inst, inst.V_target) <= -(-best) + 1e-12  # <= max gain
             # the beta value can only be lower
             assert kp.dual_objective_beta(pt, inst, inst.V_target, 7.0) <= \
-                kp.dual_objective(pt, inst) + 1e-12
+                kp.dual_objective(pt, inst, inst.V_target) + 1e-12
 
 
 def test_dual_objective_beta_concavity():
@@ -188,8 +188,6 @@ def test_inner_fixed_point_validates_inputs():
     inst = make([1.0], [1.0], 1.0)
     with pytest.raises(ValueError):
         kp.inner_fixed_point(inst, 1.0, 100.0, tau0=-1.0)
-    with pytest.raises(ValueError):
-        kp.inner_fixed_point(inst, 1.0, 100.0, omega1=0.0)
 
 
 def test_recover_density_direct_values():
@@ -274,7 +272,7 @@ def test_tau_critical_minimizes_scan_oracle_random():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         inst = make(rng.uniform(0.1, 1, n), np.full(n, 1 / n), rng.uniform(0.1, 1))
-        budget = kp.effective_budget(inst)
+        budget = inst.budget
         tc = kp.tau_critical(inst)
         F_min = F_min_oracle(inst, budget)
         assert F_of(inst, budget, tc.value) <= F_min + 1e-12 * abs(F_min)
@@ -665,10 +663,10 @@ def test_binary_density_accepts_zero_and_one_and_copies(x):
     assert not density.rho.flags.writeable
 
 
-def test_effective_budget_snapping():
+def test_budget_snapping():
     inst = make([1.0, 1.0, 1.0], np.full(3, 1 / 3), 0.5)
-    assert kp.effective_budget(inst) == pytest.approx(1 / 3)
+    assert inst.budget == pytest.approx(1 / 3)
     assert kp.affordable_count(inst.v, 0.5) == 1
     # unequal volumes pass through
     inst2 = make([1.0, 1.0], [0.3, 0.7], 0.5)
-    assert kp.effective_budget(inst2) == 0.5
+    assert inst2.budget == 0.5

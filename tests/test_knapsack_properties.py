@@ -109,7 +109,7 @@ def test_finite_beta_iteration_agrees_with_closed_form(inst):
     # 1e-6 of {0,1}; recover_density raises NotBinary otherwise
     beta = 1e8 * float(inst.w.max())
     tau0 = kp.tau_critical(inst).value
-    inner = kp.inner_fixed_point(inst, kp.effective_budget(inst), beta, tau0=tau0)
+    inner = kp.inner_fixed_point(inst, inst.budget, beta, tau0=tau0)
     density = kp.recover_density(inner.point, inst)
     assert density.support() == kp.solve(inst).density.support()
 
@@ -123,7 +123,7 @@ def sorted_interval(inst):
     the ratios and a walk over the cumulative volume priced out."""
     r = np.sort(inst.ratios(), kind="stable")
     total = inst.total_volume
-    target = total - kp.effective_budget(inst)
+    target = total - inst.budget
     csum = np.concatenate([[0.0], np.cumsum(inst.v)])
     k = int(np.count_nonzero(csum <= target + 1e-9 * total)) - 1
     lo = float(r[k - 1]) if k > 0 else 0.0
@@ -183,7 +183,7 @@ def test_tau_critical_equals_the_sort_oracle_at_stream_sizes(n, tie):
     # k-th at most ranks; the sweep makes a rank where it does not likely
     for k in (*ends, *range(2, n - 1, 23)):
         inst = stream_sized_instance(gains, k, tie)
-        assert n - kp.affordable_count(inst.v, kp.effective_budget(inst)) == k
+        assert n - kp.affordable_count(inst.v, inst.budget) == k
         scaled = (volume_scaled(inst, -7), volume_scaled(inst, 2)) if k in ends else ()
         for case in (inst, *scaled):
             tc = kp.tau_critical(case)
@@ -240,7 +240,8 @@ def check_certificate(inst, res, params):
     assert res.point.tau == tau
     assert np.array_equal(res.point.sigma, sigma)
     if cert.trivial is None:
-        tc = kp.tau_critical(work, cert.budget)
+        assert work.budget == cert.budget
+        tc = kp.tau_critical(work)
         assert tc.lo < tau < tc.hi or tau == tc.value
 
 
@@ -261,3 +262,58 @@ def test_certificate_matches_the_sigma_dual(case, tau0):
 def test_certificate_matches_the_sigma_dual_on_ties(inst):
     params = kp.SolveParams()
     check_certificate(inst, kp.solve(inst, params=params), params)
+
+
+@st.composite
+def off_grid_budgets(draw, max_n=5000):
+    """Instance with seeded gains, equal or unequal volumes and a target
+    anywhere in (0, total], usually between two whole element counts."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.lognormal(0.0, 1.0, n)
+    w[rng.random(n) < 0.1] = 0.0
+    if draw(st.booleans()):
+        v = np.full(n, draw(st.sampled_from((1.0 / n, 1.0))) * 10.0 ** draw(st.floats(-8, 8)))
+    else:
+        v = rng.uniform(0.05, 1.0, n)
+    V = draw(st.floats(0.0, 1.0, exclude_min=True)) * float(v.sum())
+    assume(V > 0.0)
+    return kp.KnapsackInstance(w, v, V)
+
+
+@SETTINGS
+@given(off_grid_budgets())
+def test_the_budget_is_snapped_once_and_for_good(inst):
+    # tau_critical reads the count of affordable elements back off the
+    # budget as round(budget / v[0]); the quotient itself may sit an ulp
+    # off the whole number, and k * v[0] an ulp above a target of k volumes
+    budget, v0 = inst.budget, float(inst.v[0])
+    assert 0.0 <= budget <= min(inst.V_target, inst.total_volume) * (1.0 + 1e-9)
+    if inst.equal_volumes():
+        k = round(budget / v0)
+        assert 0 <= k <= inst.n
+        assert abs(budget / v0 - k) <= 1e-9
+        assert k * v0 == budget
+        assert k == kp.affordable_count(inst.v, inst.V_target)
+    else:
+        assert budget == min(inst.V_target, inst.total_volume)
+    assume(budget > 0.0)
+    snapped = kp.KnapsackInstance(inst.w, inst.v, budget)
+    assert snapped.budget == budget
+
+
+@SETTINGS
+@given(off_grid_budgets(max_n=300), st.booleans())
+def test_solve_reads_only_the_snapped_budget(inst, perturb):
+    assume(inst.budget > 0.0)
+    params = kp.SolveParams(perturb=perturb)
+    snapped = kp.KnapsackInstance(inst.w, inst.v, inst.budget)
+    outcomes = []
+    for case in (inst, snapped):
+        try:
+            res = kp.solve(case, params=params)
+        except kp.KnapsackError as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append((res.density.rho.tobytes(), res.tau, res.certificate))
+    assert outcomes[0] == outcomes[1]
