@@ -44,8 +44,7 @@ X_MIN = 1e-3
 @dataclass(frozen=True)
 class SimpConfig:
     penal: float = 3.0
-    rmin: float = 1.5
-    ft: int = 1            # 0 = no filter, 1 = sensitivity filter
+    rmin: float = 1.5      # sensitivity-filter radius; 1 filters nothing, up to a rounding
     omega2: float = 1e-2
     max_outer: int = 2000
 
@@ -54,8 +53,6 @@ class SimpConfig:
             raise ValueError("penal must be finite and >= 1")
         if not 1.0 <= self.rmin < math.inf:
             raise ValueError("rmin must be finite and >= 1")
-        if self.ft not in (0, 1):
-            raise ValueError("ft must be 0 or 1")
         if not 0.0 < self.omega2 < math.inf:
             raise ValueError("omega2 must be finite and positive")
         if self.max_outer < 1:
@@ -179,7 +176,8 @@ def _oc_update(x, dc, volfrac):
 
 
 def run_simp(model, volfrac, config=None):
-    """Penalized continuous optimization with OC updates from the uniform
+    """Penalized continuous optimization with OC updates on sensitivities
+    filtered within ``rmin`` (Andreassen et al. 2011), from the uniform
     design ``volfrac``, on the driver's outer loop with strict solves.
 
     Returns (densities, Displacement, RunRecord).  Non-convergence within
@@ -193,8 +191,7 @@ def run_simp(model, volfrac, config=None):
     def step(w, v, x):
         ce = 2.0 * w / E                        # unit-modulus u_e.K_e u_e
         dc = -cfg.penal * x ** (cfg.penal - 1.0) * (E - E_min) * ce
-        if cfg.ft == 1:
-            dc = (H @ (x * dc)) / Hs / np.maximum(1e-3, x)
+        dc = (H @ (x * dc)) / Hs / np.maximum(X_MIN, x)
         xnew, bisections = _oc_update(x, dc, volfrac)
         E_x = moduli(model, x, cfg.penal)       # 1/2 u.K(x)u = E_x.w / E
         fields = dict(inner_iters=bisections, strain_energy=float(np.dot(E_x, w)) / E,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -69,7 +68,6 @@ def _add_run(sub):
     p.add_argument("--omega2", type=float, default=1e-2)
     p.add_argument("--penal", type=float, default=3.0)
     p.add_argument("--rmin", type=float, default=1.5)
-    p.add_argument("--ft", type=int, default=1)
     p.add_argument("--max-outer", type=int, default=2000)
     p.add_argument("--load", type=float, default=1.0)
     p.add_argument("--ascii-pgm", action="store_true",
@@ -199,22 +197,6 @@ def _write_pgm_2d(grid, path, ascii_format):
     except OSError as exc:
         raise OSError(f"cannot write graymap {path}: {exc}") from exc
     return path
-
-
-def read_pgm(path):
-    """Read back a P5/P2 graymap written by :func:`write_density_pgm`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    # four header fields, then one whitespace byte (a pixel may be another)
-    header = re.match(rb"(P[25])\s+(\d+)\s+(\d+)\s+\d+\s", data)
-    if header is None:
-        raise ValueError(f"not a graymap: {data[:2]!r}")
-    width, height, raster = int(header[2]), int(header[3]), data[header.end():]
-    if header[1] == b"P5":
-        img = np.frombuffer(raster[:width * height], dtype=np.uint8)
-    else:
-        img = np.array(raster.split(), dtype=int)
-    return img.reshape(height, width)
 
 
 def _write_csv(path, header, rows):

@@ -330,7 +330,10 @@ def _h8_shape_gradients(x, y, z, nodes):
 
 
 def moduli(model, rho, penal):
-    """Element moduli E_min + (E - E_min) rho^penal after checking rho."""
+    """Element moduli E_min + (E - E_min) rho^penal after checking rho.
+
+    A density within 1e-12 outside [0, 1] is accepted and clipped onto it,
+    where a fractional power of a negative number would be nan."""
     mesh, mat = model.mesh, model.material
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (mesh.n_elements,):
@@ -339,7 +342,7 @@ def moduli(model, rho, penal):
         )
     if not np.all((rho >= -1e-12) & (rho <= 1.0 + 1e-12)):
         raise ValueError("rho values must lie in [0, 1]")
-    return mat.E_min + (mat.E - mat.E_min) * rho ** penal
+    return mat.E_min + (mat.E - mat.E_min) * np.clip(rho, 0.0, 1.0) ** penal
 
 
 def assemble(model, rho, penal=1.0):

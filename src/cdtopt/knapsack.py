@@ -234,10 +234,6 @@ class DualPoint:
         if not (self.tau >= 0.0 and math.isfinite(self.tau)):
             raise InvalidDual("tau must be finite and nonnegative")
 
-    def theta(self, instance):
-        """Per-element degeneracy indicators tau*v_e - w_e."""
-        return self.tau * instance.v - instance.w
-
 
 @dataclass(frozen=True)
 class BinaryDensity:
@@ -249,13 +245,6 @@ class BinaryDensity:
         object.__setattr__(self, "rho", _readonly(self.rho))
         if not np.all((self.rho == 0.0) | (self.rho == 1.0)):
             raise ValueError("rho must be exactly {0,1}-valued")
-
-    @property
-    def n(self):
-        return self.rho.size
-
-    def volume(self, v):
-        return float(np.dot(np.asarray(v, dtype=float), self.rho))
 
     def support(self):
         return tuple(int(i) for i in np.flatnonzero(self.rho == 1.0))
@@ -295,8 +284,7 @@ class InnerResult:
 
     point: DualPoint
     iterations: int
-    converged: bool
-    stalled: bool
+    converged: bool              # False: a tau 2-cycle, or MAX_INNER reached
     objective: float
     last_delta: float
 
@@ -305,10 +293,9 @@ class InnerResult:
 class Certificate:
     """Optimality evidence attached to a solve."""
 
-    primal_objective: float      # -w.rho on the original gains
     gain: float                  # w.rho on the original gains
     dual_objective: float        # D_inf at the reported tau on the solved instance
-    residual: float              # |primal - D_inf| on the solved instance
+    residual: float              # |-w.rho - D_inf| on the solved instance
     budget: float                # the solved instance's enforceable budget
     perturbed: bool
     trivial: str | None = None
@@ -476,14 +463,14 @@ def inner_fixed_point(instance, budget, beta, tau0=1.0):
         if prev_obj is not None:
             delta = abs(obj - prev_obj)
             if delta <= OMEGA1:
-                return InnerResult(point, k, True, False, obj, delta)
+                return InnerResult(point, k, True, obj, delta)
         # a tau revisit two steps back means a rounding-level 2-cycle:
         # nothing further can change, report the stall now
         if tau == prev_taus[0]:
-            return InnerResult(point, k, False, True, obj, delta)
+            return InnerResult(point, k, False, obj, delta)
         prev_taus = (prev_taus[1], tau)
         prev_obj = obj
-    return InnerResult(DualPoint(sigma, tau), MAX_INNER, False, True, obj,
+    return InnerResult(DualPoint(sigma, tau), MAX_INNER, False, obj,
                        delta if math.isfinite(delta) else math.inf)
 
 
@@ -494,7 +481,7 @@ def recover_density(point, instance):
     from an integer — the signal that beta must be escalated, never a
     license to round harder.
     """
-    theta = point.theta(instance)
+    theta = point.tau * instance.v - instance.w
     raw = 0.5 * (1.0 - theta / point.sigma)
     rounded = np.where(raw >= 0.5, 1.0, 0.0)
     max_dev = float(np.max(np.abs(raw - rounded)))
@@ -628,7 +615,6 @@ def _result(instance, work, rho, tau, trivial=None):
     if not all(map(math.isfinite, (gain, dual, residual))):
         raise NonFinite(f"certificate gain {gain}, D_inf {dual}, gap {residual}")
     cert = Certificate(
-        primal_objective=-gain,
         gain=gain,
         dual_objective=dual,
         residual=residual,
@@ -649,9 +635,9 @@ def solve(instance, params=None):
     that tau certifies the selection.  An empty interval is an exact tie at
     the margin: with ``perturb`` the ramp-perturbed copy is solved instead
     (and must have an interval, or :class:`Unsolved` is raised), without it
-    :class:`DegenerateInstance` is raised.  The certificate's primal
-    objective refers to the original gains even when a perturbed copy was
-    solved.  A gain, D_inf or gap that is not finite raises :class:`NonFinite`.
+    :class:`DegenerateInstance` is raised.  The certificate's gain is taken
+    on the original gains even when a perturbed copy was solved.  A gain,
+    D_inf or gap that is not finite raises :class:`NonFinite`.
     """
     p = params or SolveParams()
     budget, n = instance.budget, instance.n

@@ -96,6 +96,14 @@ def test_simp_bracketed_oc_steps_are_unchanged(tmp_path):
         assert hashlib.sha256(text.encode()).hexdigest() == digest, load
 
 
+def test_simp_at_rmin_1_runs_unfiltered():
+    # the filter at rmin 1 weighs only the element itself: x dc / x, one
+    # rounding from dc.  The pins were recorded with the filter step skipped
+    _, _, record = run_simp(build_mbb(20, 8), 0.5, SimpConfig(rmin=1.0))
+    assert record.converged and record.outer_iterations == 167
+    assert record.final_compliance == pytest.approx(68.02098590956355, rel=1e-10)
+
+
 def test_simp_rejects_a_volfrac_below_the_density_floor():
     # no update reaches a volume below X_MIN (the CLI cases cover method_config);
     # the floor is SIMP's alone
@@ -110,8 +118,6 @@ def test_simp_config_validation():
         SimpConfig(penal=0.5)
     with pytest.raises(ValueError):
         SimpConfig(rmin=0.5)
-    with pytest.raises(ValueError):
-        SimpConfig(ft=3)
     with pytest.raises(ValueError):
         SimpConfig(omega2=-1.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,9 +150,38 @@ def test_config_file_rejects_removed_knapsack_keys(tmp_path, key):
         cli.parse_cli(["run", "--config", str(cfg)])
 
 
+def test_simp_has_no_filter_switch(tmp_path, capsys):
+    # --rmin 1 runs SIMP unfiltered; there is no separate switch, as a flag
+    # or as a config key
+    cfg = tmp_path / "ft.cfg"
+    cfg.write_text("ft = 0\n")
+    for extra in (["--ft", "0"], ["--config", str(cfg)]):
+        code = cli.main(["run", "--method", "simp", "--nelx", "6", "--nely", "3",
+                         "--out", str(tmp_path / "out"), *extra])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # graymap output
 # ---------------------------------------------------------------------------
+
+def read_pgm(path):
+    """Read back a P5/P2 graymap written by :func:`cli.write_density_pgm`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # four header fields, then one whitespace byte (a pixel may be another)
+    header = re.match(rb"(P[25])\s+(\d+)\s+(\d+)\s+\d+\s", data)
+    if header is None:
+        raise ValueError(f"not a graymap: {data[:2]!r}")
+    width, height, raster = int(header[2]), int(header[3]), data[header.end():]
+    if header[1] == b"P5":
+        img = np.frombuffer(raster[:width * height], dtype=np.uint8)
+    else:
+        img = np.array(raster.split(), dtype=int)
+    return img.reshape(height, width)
+
 
 def test_pgm_all_solid(tmp_path):
     path = tmp_path / "solid.pgm"
@@ -183,7 +213,7 @@ def test_pgm_round_trip(tmp_path):
     for dims, rho in cases:
         path = tmp_path / "rt.pgm"
         cli.write_density_pgm(rho, fem.Mesh(dims), str(path))
-        img = cli.read_pgm(str(path))
+        img = read_pgm(str(path))
         assert img.shape == dims[::-1]
         recovered = 1.0 - img.T.reshape(-1) / 255.0
         assert np.array_equal(recovered, rho)
@@ -195,7 +225,7 @@ def test_pgm_ascii_variant(tmp_path):
                           ascii_format=True)
     text = path.read_text()
     assert text.startswith("P2\n2 1\n255\n")
-    img = cli.read_pgm(str(path))
+    img = read_pgm(str(path))
     assert img.tolist() == [[0, 255]]
 
 
@@ -207,7 +237,7 @@ def test_pgm_3d_writes_one_file_per_layer(tmp_path):
     paths = cli.write_density_pgm(rho, fem.Mesh((nelx, nely, nelz)), str(tmp_path / "v.pgm"))
     assert [os.path.basename(p) for p in paths] == ["v_z000.pgm", "v_z001.pgm", "v_z002.pgm"]
     for k, path in enumerate(paths):
-        img = cli.read_pgm(path)
+        img = read_pgm(path)
         assert img.shape == (nely, nelx)
         for ei, ej in np.ndindex(nelx, nely):
             e = k * nelx * nely + ei * nely + ej
@@ -281,7 +311,7 @@ def test_main_run_max_outer_caps_cdt_and_beso(tmp_path, capsys, method):
                      "--max-outer", "3", "--out", str(tmp_path)])
     assert code == 0
     assert capsys.readouterr().out.rstrip().endswith("converged False")
-    assert cli.read_pgm(tmp_path / f"mbb_{method}_density.pgm").shape == (10, 30)
+    assert read_pgm(tmp_path / f"mbb_{method}_density.pgm").shape == (10, 30)
     lines = (tmp_path / f"mbb_{method}_record.csv").read_text().splitlines()
     assert len(lines) == 3 + 1  # header + one row per iteration
 

@@ -282,3 +282,22 @@ def test_cdt_mbb_ladder_case_keeps_its_design():
     assert design_sha256(density.rho) == (
         "80c8f50caedd85edbf6afd0a1979345c1efdee213850703b5eb8428647fefec9")
     assert record.final_compliance == pytest.approx(133.72769386976253, rel=1e-10)
+
+
+@pytest.mark.parametrize("dims, iterations", [((16, 6), 25), ((60, 20), 27)])
+def test_cdt_cantilever_mirrored_in_y_gives_the_mirrored_design(dims, iterations):
+    # the clamped edge maps onto itself, and the load node (nelx, nely) and
+    # its -y load onto node (nelx, 0) and a +y load
+    nelx, nely = dims
+    model = build_cantilever2d(nelx, nely)
+    load = np.zeros(model.mesh.n_dofs)
+    load[2 * model.mesh.node_ids()[nelx, 0] + 1] = 1.0
+    mirrored = fem.StructuralModel(model.mesh, model.material, model.fixed_dofs, load)
+    config = CdtConfig(volfrac=0.5, mu=0.97)
+    density, _, record = run_cdt(model, config)
+    m_density, _, m_record = run_cdt(mirrored, config)
+    ids = model.mesh.element_ids()
+    assert record.converged and m_record.converged
+    assert record.outer_iterations == m_record.outer_iterations == iterations
+    assert np.array_equal(m_density.rho[ids[:, ::-1]], density.rho[ids])
+    assert m_record.final_compliance == pytest.approx(record.final_compliance, rel=1e-12)

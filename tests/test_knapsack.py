@@ -397,12 +397,12 @@ def test_solve_strong_duality_certificate():
         assert not cert.perturbed
         tau, budget = res.point.tau, cert.budget
         assert cert.dual_objective == pytest.approx(d_inf(inst, tau, budget), rel=1e-15)
-        assert cert.residual == abs(cert.primal_objective - cert.dual_objective)
+        assert cert.residual == abs(-cert.gain - cert.dual_objective)
         assert cert.residual <= 1e-15 * abs(cert.dual_objective)
         # weak duality: D_inf at any tau >= 0 bounds -w.rho from below
         for t in np.linspace(0.0, 2.0 * float(inst.ratios().max()), 50):
             assert d_inf(inst, t, budget) <= \
-                cert.primal_objective + 1e-14 * abs(cert.primal_objective)
+                -cert.gain + 1e-14 * abs(cert.gain)
 
 
 def test_solve_reports_tau0_only_inside_the_critical_interval():
@@ -424,9 +424,9 @@ def test_solve_complementarity_and_budget():
         res = kp.solve(inst)
         rho, v = res.density.rho, inst.v
         assert np.array_equal(rho * rho, rho)
-        assert res.density.volume(v) <= inst.V_target + 1e-12
+        assert np.dot(v, rho) <= inst.V_target + 1e-12
         if res.point.tau > 1e-8:
-            assert abs(res.density.volume(v) - inst.V_target) <= float(v.max()) + 1e-12
+            assert abs(np.dot(v, rho) - inst.V_target) <= float(v.max()) + 1e-12
 
 
 def test_solve_certificate_rejects_a_wrong_interval(monkeypatch):
@@ -490,7 +490,7 @@ def test_solve_near_tie_margins():
             inst = make(w, np.full(n, 1.0 / n), k / n)
             res = kp.solve(inst)
             shortfall = k * kp.SolveParams().perturb_scale * w.max()
-            assert res.density.volume(inst.v) <= inst.V_target + 1e-12
+            assert np.dot(inst.v, res.density.rho) <= inst.V_target + 1e-12
             assert res.certificate.gain >= kp.brute_force(inst).objective - shortfall
 
 
