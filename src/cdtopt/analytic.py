@@ -18,8 +18,6 @@ import numpy as np
 from . import knapsack
 
 __all__ = [
-    "TrussSpec",
-    "DoubleWellSpec",
     "CounterexampleResult",
     "DualRoot",
     "TrialityResult",
@@ -28,43 +26,6 @@ __all__ = [
     "simp_counterexample",
     "double_well_triality",
 ]
-
-
-@dataclass(frozen=True)
-class TrussSpec:
-    """Two-group, two-dof truss with diagonal group stiffnesses
-    diag(a, b) and diag(b, a), under the unit load (1, 1) whose first
-    component ``epsilon`` perturbs."""
-
-    a: float = (2.0 - math.sqrt(2.0)) / 2.0
-    b: float = (4.0 + math.sqrt(2.0)) / 2.0
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
-            raise ValueError("group stiffness constants a and b must be finite and positive")
-        if not math.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite")
-
-
-@dataclass(frozen=True)
-class DoubleWellSpec:
-    """Potential 1/2 beta (1/2 |x|^2 - lam)^2 - x.f."""
-
-    beta: float = 1.0
-    lam: float = 2.0
-    f: tuple = (0.5,)
-
-    def __post_init__(self):
-        if not (0.0 < self.beta < math.inf and 0.0 < self.lam < math.inf):
-            raise ValueError("beta and lam must be finite and positive")
-        object.__setattr__(self, "f", tuple(float(x) for x in self.f))
-        if not all(map(math.isfinite, self.f)):
-            raise ValueError("f must be finite")
-
-    @property
-    def n(self):
-        return len(self.f)
 
 
 def buridan(w_base, epsilon, perturb=True):
@@ -88,33 +49,42 @@ def buridan(w_base, epsilon, perturb=True):
     return report, result.density
 
 
-def symmetric_truss(spec, perturb=True):
+def _penalized_compliance(a, b, p):
+    # 1/2 f.u of the two-group truss under the unit load f = (1, 1), the
+    # groups at densities r1 and r2 penalized by the power p
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("stiffness constants a and b must be finite and positive")
+
+    def val(r1, r2):
+        return 0.5 * (1.0 / (a * r1 ** p + b * r2 ** p)
+                      + 1.0 / (b * r1 ** p + a * r2 ** p))
+
+    return val
+
+
+def symmetric_truss(a, b, epsilon, perturb=True):
     """Select one of the two bar groups under the perturbed load.
 
-    Solves equilibrium for the full structure under f = (1 + eps, 1),
+    The two-dof truss has group stiffnesses diag(a, b) and diag(b, a).
+    Solves equilibrium for the full structure under f = (1 + epsilon, 1),
     scores both groups by the strain energy they would store, and lets the
     knapsack solver keep one.  Returns (BinaryDensity, potential), where
     the potential is evaluated for the nominal symmetric load at the
     selected group — the quantity that equals -1/2 (1/a + 1/b) for either
     pick.
     """
-    a, b = spec.a, spec.b
-    K1 = np.diag([a, b])
-    K2 = np.diag([b, a])
-    f_eps = np.array([1.0 + spec.epsilon, 1.0])
-    u0 = np.linalg.solve(K1 + K2, f_eps)
+    compliance = _penalized_compliance(a, b, 1.0)
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
+    u0 = np.array([1.0 + epsilon, 1.0]) / (a + b)  # both groups add to (a + b) I
     w = np.array([
         0.5 * (a * u0[0] ** 2 + b * u0[1] ** 2),
         0.5 * (b * u0[0] ** 2 + a * u0[1] ** 2),
     ])
     instance = knapsack.KnapsackInstance(w=w, v=np.array([1.0, 1.0]), V_target=1.0)
     result = knapsack.solve(instance, params=knapsack.SolveParams(perturb=perturb))
-    rho = result.density.rho
-    K = rho[0] * K1 + rho[1] * K2
-    f_nom = np.ones(2)
-    u = np.linalg.solve(K, f_nom)
-    potential = 0.5 * u @ K @ u - u @ f_nom
-    return result.density, float(potential)
+    # at equilibrium the potential 1/2 u.K u - u.f is -1/2 f.u
+    return result.density, float(-compliance(*result.density.rho))
 
 
 @dataclass(frozen=True)
@@ -126,15 +96,6 @@ class CounterexampleResult:
     boundary_values: np.ndarray
     minima: tuple                # (t, value) for each boundary minimum
     argmin: tuple                # (rho1, rho2) of the boundary minimizer
-
-
-def _penalized_compliance(a, b, p):
-    # the compliance under the unit load (1, 1)
-    def val(r1, r2):
-        return 0.5 * (1.0 / (a * r1 ** p + b * r2 ** p)
-                      + 1.0 / (b * r1 ** p + a * r2 ** p))
-
-    return val
 
 
 def _golden_min(fun, lo, hi, tol=1e-10):
@@ -162,15 +123,13 @@ def simp_counterexample(a, b, p=2.0, grid_resolution=1e-4):
     Boundary minima are located with a scan at ``grid_resolution``, which
     samples both endpoints as candidates, plus golden-section refinement.
     """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise ValueError("material constants a and b must be finite and positive")
+    val = _penalized_compliance(a, b, p)
     # the corners sample 0 ** p, which divides by zero for p < 0; p = 0 makes
     # the surface flat, so every boundary sample would be a minimum
     if not 0.0 < p < math.inf:
         raise ValueError("p must be finite and positive")
     if not 0.0 < grid_resolution <= 0.5:
         raise ValueError("grid resolution must lie in (0, 0.5]")
-    val = _penalized_compliance(a, b, p)
     side = np.linspace(0.05, 1.0, 39)
     r1g, r2g = np.meshgrid(side, side, indexing="ij")
     grid = np.column_stack([r1g.ravel(), r2g.ravel(),
@@ -215,46 +174,51 @@ class TrialityResult:
     perturbation_minimizers: tuple = ()
 
 
-def _dw_potential(spec, x):
+def _dw_potential(beta, lam, f, x):
     x = np.asarray(x, dtype=float)
-    f = np.asarray(spec.f, dtype=float)
-    return float(0.5 * spec.beta * (0.5 * np.dot(x, x) - spec.lam) ** 2 - np.dot(x, f))
+    return float(0.5 * beta * (0.5 * np.dot(x, x) - lam) ** 2 - np.dot(x, f))
 
 
-def _dw_dual(spec, s):
-    fn2 = float(np.dot(spec.f, spec.f))
-    return -fn2 / (2.0 * s) - 0.5 * s * s / spec.beta - spec.lam * s
+def _dw_dual(beta, lam, f, s):
+    fn2 = float(np.dot(f, f))
+    return -fn2 / (2.0 * s) - 0.5 * s * s / beta - lam * s
 
 
-def double_well_triality(spec):
-    """All real roots of (varsigma/beta + lam) varsigma^2 = |f|^2 / 2,
-    classified, with the matching primal critical points x = f / varsigma.
+def double_well_triality(beta, lam, f):
+    """All real roots of (varsigma/beta + lam) varsigma^2 = |f|^2 / 2 for
+    the potential 1/2 beta (1/2 |x|^2 - lam)^2 - x.f, with f a sequence of
+    floats, classified, with the matching primal critical points
+    x = f / varsigma.
 
     For f = 0 the dual keeps a single negative critical point -beta*lam
     (the primal local maximum at the origin); the ring of minimizers at
     |x| = sqrt(2 lam) is reported through ``perturbation_minimizers`` as
     the vanishing-perturbation limit.
     """
-    f = np.asarray(spec.f, dtype=float)
+    if not (0.0 < beta < math.inf and 0.0 < lam < math.inf):
+        raise ValueError("beta and lam must be finite and positive")
+    f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("f must be finite")
     fn2 = float(np.dot(f, f))
     if fn2 == 0.0:
-        s3 = -spec.beta * spec.lam
+        s3 = -beta * lam
         x3 = tuple(0.0 for _ in f)
         root = DualRoot(
             varsigma=s3,
             x=x3,
-            potential=_dw_potential(spec, x3),
-            dual_potential=float(-0.5 * s3 * s3 / spec.beta - spec.lam * s3),
+            potential=_dw_potential(beta, lam, f, x3),
+            dual_potential=_dw_dual(beta, lam, f, s3),
             kind="local_max",
         )
-        r = math.sqrt(2.0 * spec.lam)
+        r = math.sqrt(2.0 * lam)
         return TrialityResult(
             roots=(root,),
             symmetric=True,
             perturbation_minimizers=(r, -r),
         )
     # varsigma^3 / beta + lam varsigma^2 - |f|^2/2 = 0
-    coeffs = [1.0 / spec.beta, spec.lam, 0.0, -0.5 * fn2]
+    coeffs = [1.0 / beta, lam, 0.0, -0.5 * fn2]
     raw = np.roots(coeffs)
     roots = []
     for z in raw:
@@ -262,8 +226,8 @@ def double_well_triality(spec):
             continue
         s = float(z.real)
         for _ in range(60):  # Newton polish on the depressed residual
-            g = s * s * (s / spec.beta + spec.lam) - 0.5 * fn2
-            gp = 3.0 * s * s / spec.beta + 2.0 * spec.lam * s
+            g = s * s * (s / beta + lam) - 0.5 * fn2
+            gp = 3.0 * s * s / beta + 2.0 * lam * s
             if gp == 0.0:
                 break
             step = g / gp
@@ -280,13 +244,13 @@ def double_well_triality(spec):
         elif negatives and s == negatives[0]:
             kind = "local_max"      # most negative branch
         else:
-            kind = "local_min" if spec.n == 1 else "negative_branch"
+            kind = "local_min" if f.size == 1 else "negative_branch"
         x = tuple(float(fi / s) for fi in f)
         out.append(DualRoot(
             varsigma=s,
             x=x,
-            potential=_dw_potential(spec, x),
-            dual_potential=_dw_dual(spec, s),
+            potential=_dw_potential(beta, lam, f, x),
+            dual_potential=_dw_dual(beta, lam, f, s),
             kind=kind,
         ))
     return TrialityResult(roots=tuple(out), symmetric=False)

@@ -164,8 +164,11 @@ def _oc_update(x, dc, volfrac):
     # step that is over lies on it
     while over(l2) and (below < math.inf or not np.array_equal(step(l2), lo)):
         l2 *= 2.0
+    # the stop test's floor on l1 + l2 scales with b, as the multiplier
+    # does, so that a small load bisects as far as a unit one; b = 0 keeps 1e-30
+    tiny = 1e-30 * float(b.max()) or 1e-30
     bisections = 0
-    while (l2 - l1) / (l1 + l2 + 1e-30) > 1e-9:
+    while (l2 - l1) / (l1 + l2 + tiny) > 1e-9:
         bisections += 1
         lmid = 0.5 * (l1 + l2)
         if over(lmid):

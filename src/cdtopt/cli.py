@@ -248,9 +248,8 @@ def _cmd_demo(options):
         print(f"tau_c {report.tau_c:.6g} interval {report.interval} "
               f"unique {report.unique} pick {density.support()}")
     elif name == "truss":
-        spec = analytic.TrussSpec(a=options["a"], b=options["b"],
-                                  epsilon=options["epsilon"])
-        density, potential = analytic.symmetric_truss(spec, perturb=perturb)
+        density, potential = analytic.symmetric_truss(options["a"], options["b"],
+                                                      options["epsilon"], perturb=perturb)
         print(f"kept group {density.support()} potential {potential:.6g}")
     elif name == "simp-surface":
         res = analytic.simp_counterexample(options["a"], options["b"],
@@ -260,9 +259,7 @@ def _cmd_demo(options):
                           ["rho1", "rho2", "value"], res.grid)
         print(f"boundary argmin {res.argmin} minima {res.minima} -> {path}")
     else:
-        spec = analytic.DoubleWellSpec(beta=options["beta"], lam=options["lam"],
-                                       f=(options["f"],))
-        res = analytic.double_well_triality(spec)
+        res = analytic.double_well_triality(options["beta"], options["lam"], (options["f"],))
         _write_csv(os.path.join(_out_dir(options), "double_well_roots.csv"),
                    ["varsigma", "x", "potential", "dual_potential", "kind"],
                    ([root.varsigma, root.x[0], root.potential, root.dual_potential,

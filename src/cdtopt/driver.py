@@ -49,10 +49,14 @@ def check_volfrac(volfrac):
 
 
 def check_energies(w, method, step):
-    """Raise DriverError, naming the load, unless every element energy is finite."""
+    """Raise DriverError, naming the load, unless every element energy is
+    finite and some element's is positive."""
     if not np.all(np.isfinite(w)):
         raise DriverError(f"{method} step {step}: the element strain energies overflow; "
                           "the load is too large")
+    if not np.any(w > 0.0):
+        raise DriverError(f"{method} step {step}: no element strain energy is positive; "
+                          "the load is zero or too small")
 
 
 @dataclass(frozen=True)

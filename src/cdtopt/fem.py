@@ -43,6 +43,7 @@ __all__ = [
     "StructuralModel",
     "Displacement",
     "element_stiffness_2d",
+    "elasticity_matrix_3d",
     "element_stiffness_3d",
     "moduli",
     "assemble",

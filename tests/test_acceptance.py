@@ -101,8 +101,8 @@ def test_criterion_3_buridan():
 def test_criterion_4_symmetric_truss():
     t0 = time.perf_counter()
     target = -0.5 * (1.0 / A_CONST + 1.0 / B_CONST)
-    dp, pp = analytic.symmetric_truss(analytic.TrussSpec(epsilon=+0.01))
-    dm, pm = analytic.symmetric_truss(analytic.TrussSpec(epsilon=-0.01))
+    dp, pp = analytic.symmetric_truss(A_CONST, B_CONST, +0.01)
+    dm, pm = analytic.symmetric_truss(A_CONST, B_CONST, -0.01)
     ok = dp.rho.tolist() == [0.0, 1.0] and dm.rho.tolist() == [1.0, 0.0]
     ok = ok and abs(pp - target) <= 1e-3 and abs(pm - target) <= 1e-3
     report("criterion 4 symmetric truss selection", time.perf_counter() - t0,
@@ -111,8 +111,7 @@ def test_criterion_4_symmetric_truss():
 
 def test_criterion_5_double_well_triality():
     t0 = time.perf_counter()
-    res = analytic.double_well_triality(
-        analytic.DoubleWellSpec(beta=1.0, lam=2.0, f=(0.5,)))
+    res = analytic.double_well_triality(1.0, 2.0, (0.5,))
     kinds = {r.kind: r for r in res.roots}
     g = kinds["global_min"]
     ok = abs(g.varsigma - 0.24) <= 0.02 and abs(g.x[0] - 2.1) <= 0.02
@@ -121,7 +120,7 @@ def test_criterion_5_double_well_triality():
     for r in res.roots:
         ok = ok and abs(r.potential - r.dual_potential) <= \
             1e-8 * max(1.0, abs(r.potential))
-    res0 = analytic.double_well_triality(analytic.DoubleWellSpec(f=(0.0,)))
+    res0 = analytic.double_well_triality(1.0, 2.0, (0.0,))
     ok = ok and res0.roots[0].varsigma == -2.0
     report("criterion 5 double-well triality", time.perf_counter() - t0,
            1.0, ok, f"(root {g.varsigma:.4f}, minimizer {g.x[0]:.4f})")

@@ -47,13 +47,13 @@ def test_buridan_no_perturb_raises_on_tie():
 # ---------------------------------------------------------------------------
 
 def test_truss_positive_epsilon_keeps_second_group():
-    density, potential = analytic.symmetric_truss(analytic.TrussSpec(epsilon=0.01))
+    density, potential = analytic.symmetric_truss(A, B, 0.01)
     assert density.rho.tolist() == [0.0, 1.0]
     assert potential == pytest.approx(-0.5 * (1 / A + 1 / B), abs=1e-12)
 
 
 def test_truss_negative_epsilon_keeps_first_group():
-    density, potential = analytic.symmetric_truss(analytic.TrussSpec(epsilon=-0.01))
+    density, potential = analytic.symmetric_truss(A, B, -0.01)
     assert density.rho.tolist() == [1.0, 0.0]
     assert potential == pytest.approx(-0.5 * (1 / A + 1 / B), abs=1e-12)
 
@@ -61,14 +61,14 @@ def test_truss_negative_epsilon_keeps_first_group():
 def test_truss_potential_closed_form_value():
     # 1/a = 2 + sqrt(2), 1/b = (8 - 2 sqrt(2))/14
     expected = -0.5 * ((2 + math.sqrt(2)) + (8 - 2 * math.sqrt(2)) / 14)
-    _, potential = analytic.symmetric_truss(analytic.TrussSpec(epsilon=0.01))
+    _, potential = analytic.symmetric_truss(A, B, 0.01)
     assert potential == pytest.approx(expected, abs=1e-12)
     assert potential == pytest.approx(-1.8918, abs=1e-3)
 
 
 def test_truss_symmetric_degenerate_raises():
     with pytest.raises(knapsack.DegenerateInstance):
-        analytic.symmetric_truss(analytic.TrussSpec(epsilon=0.0), perturb=False)
+        analytic.symmetric_truss(A, B, 0.0, perturb=False)
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +137,26 @@ def test_counterexample_rejects_bad_values(kwargs, name):
         analytic.simp_counterexample(**args)
 
 
-@pytest.mark.parametrize("spec,kwargs,name", [
-    (analytic.TrussSpec, {"a": math.inf}, "a and b"),
-    (analytic.TrussSpec, {"b": math.nan}, "a and b"),
-    (analytic.TrussSpec, {"epsilon": math.inf}, "epsilon"),
-    (analytic.TrussSpec, {"epsilon": math.nan}, "epsilon"),
-    (analytic.DoubleWellSpec, {"beta": math.inf}, "beta and lam"),
-    (analytic.DoubleWellSpec, {"lam": math.inf}, "beta and lam"),
-    (analytic.DoubleWellSpec, {"lam": math.nan}, "beta and lam"),
-    (analytic.DoubleWellSpec, {"f": (math.nan,)}, "f must"),
-    (analytic.DoubleWellSpec, {"f": (0.5, math.inf)}, "f must"),
+TRUSS = (analytic.symmetric_truss, {"a": A, "b": B, "epsilon": 0.01})
+DOUBLE_WELL = (analytic.double_well_triality, {"beta": 1.0, "lam": 2.0, "f": (0.5,)})
+
+
+@pytest.mark.parametrize("demo,kwargs,name", [
+    (TRUSS, {"a": math.inf}, "a and b"),
+    (TRUSS, {"b": math.nan}, "a and b"),
+    (TRUSS, {"epsilon": math.inf}, "epsilon"),
+    (TRUSS, {"epsilon": math.nan}, "epsilon"),
+    (DOUBLE_WELL, {"beta": math.inf}, "beta and lam"),
+    (DOUBLE_WELL, {"lam": math.inf}, "beta and lam"),
+    (DOUBLE_WELL, {"lam": math.nan}, "beta and lam"),
+    (DOUBLE_WELL, {"f": (math.nan,)}, "f must"),
+    (DOUBLE_WELL, {"f": (0.5, math.inf)}, "f must"),
 ], ids=["truss-a-inf", "truss-b-nan", "truss-epsilon-inf", "truss-epsilon-nan", "beta-inf",
         "lam-inf", "lam-nan", "f-nan", "f-inf"])
-def test_demo_specs_reject_non_finite_values(spec, kwargs, name):
+def test_demo_specs_reject_non_finite_values(demo, kwargs, name):
+    fun, valid = demo
     with pytest.raises(ValueError, match=name):
-        spec(**kwargs)
+        fun(**{**valid, **kwargs})
 
 
 def test_counterexample_boundary_scan_consistency():
@@ -188,8 +193,7 @@ def cubic_roots_oracle(beta, lam, fn2):
 
 
 def test_double_well_roots_match_oracle():
-    spec = analytic.DoubleWellSpec(beta=1.0, lam=2.0, f=(0.5,))
-    res = analytic.double_well_triality(spec)
+    res = analytic.double_well_triality(1.0, 2.0, (0.5,))
     oracle = cubic_roots_oracle(1.0, 2.0, 0.25)
     got = [r.varsigma for r in res.roots]
     assert len(got) == 3
@@ -203,7 +207,7 @@ def test_double_well_roots_match_oracle():
 
 def test_double_well_primal_criticals_match_cubic():
     # stationary points of the potential solve x^3 - 4x - 1 = 0 here
-    res = analytic.double_well_triality(analytic.DoubleWellSpec(f=(0.5,)))
+    res = analytic.double_well_triality(1.0, 2.0, (0.5,))
     for root in res.roots:
         x = root.x[0]
         assert x**3 - 4.0 * x - 1.0 == pytest.approx(0.0, abs=1e-9)
@@ -214,7 +218,7 @@ def test_double_well_primal_criticals_match_cubic():
 
 
 def test_double_well_classification_and_identity():
-    res = analytic.double_well_triality(analytic.DoubleWellSpec(f=(0.5,)))
+    res = analytic.double_well_triality(1.0, 2.0, (0.5,))
     kinds = {r.kind: r for r in res.roots}
     assert kinds["global_min"].varsigma > 0
     assert kinds["local_max"].varsigma == min(r.varsigma for r in res.roots)
@@ -230,7 +234,7 @@ def test_double_well_classification_and_identity():
 
 def test_double_well_second_derivative_classification():
     # independent check of extremum kinds via the potential's curvature
-    res = analytic.double_well_triality(analytic.DoubleWellSpec(f=(0.5,)))
+    res = analytic.double_well_triality(1.0, 2.0, (0.5,))
     for r in res.roots:
         x = r.x[0]
         curv = 1.5 * x * x - 2.0     # d^2/dx^2 of the n=1 potential
@@ -241,7 +245,7 @@ def test_double_well_second_derivative_classification():
 
 
 def test_double_well_symmetric_case():
-    res = analytic.double_well_triality(analytic.DoubleWellSpec(f=(0.0,)))
+    res = analytic.double_well_triality(1.0, 2.0, (0.0,))
     assert res.symmetric
     assert len(res.roots) == 1
     assert res.roots[0].varsigma == -2.0

@@ -74,6 +74,19 @@ def test_simp_meets_the_volume_target_at_a_large_load():
     assert abs(rec.final_volume - 0.4) <= 1e-6
 
 
+def test_simp_design_does_not_depend_on_the_load_scale():
+    # the OC multiplier scales with the load squared: a stop test with an
+    # absolute floor ended its bisection early at small loads (volume 0.403
+    # at load 1e-20, 0.001 at 1e-40)
+    x1, _, rec1 = run_simp(build_mbb(30, 10), 0.5)
+    assert rec1.outer_iterations == 72
+    for load in (1e-20, 1e-40):
+        x, _, rec = run_simp(build_mbb(30, 10, load=load), 0.5)
+        assert rec.converged and rec.outer_iterations == 72, load
+        assert np.max(np.abs(x - x1)) <= 1e-8, load
+        assert rec.final_compliance / load**2 == pytest.approx(rec1.final_compliance, rel=1e-8)
+
+
 def test_oc_update_stops_widening_at_the_density_floor():
     # a target below the X_MIN floor is out of reach at any multiplier
     x = np.full(4, 5e-4)

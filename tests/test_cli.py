@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import re
 import subprocess
@@ -407,6 +408,20 @@ def test_main_run_load_that_overflows_is_a_solver_error_naming_it(tmp_path, caps
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("load", ["0", "1e-200"])
+@pytest.mark.parametrize("method", list(METHODS))
+def test_main_run_load_without_energy_is_a_solver_error_naming_it(tmp_path, capsys, method,
+                                                                   load):
+    # at load 0, and at 1e-200 where the energies underflow, no element
+    # stores energy, and no selection or OC step has anything to rank
+    args = ["run", "--method", method, "--nelx", "12", "--nely", "4", "--volfrac", "0.5",
+            "--load", load]
+    assert cli.main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver error: {method} step 1:") and "load" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args,name", [
     (["--name", "simp-surface", "--resolution", "0"], "resolution"),
     (["--name", "simp-surface", "--resolution", "-1"], "resolution"),
@@ -448,6 +463,47 @@ def test_demo_without_a_file_to_write_creates_no_directory(tmp_path, monkeypatch
     monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
     assert cli.main(["demo", *args]) == code
     assert not list(tmp_path.iterdir())
+
+
+# stdout, and the SHA-256 of each CSV written, of each demo; the
+# simp-surface line ends in its CSV's path, which is left out
+DEMO_PINS = {
+    "buridan": (["--name", "buridan"],
+                "tau_c 2.025 interval (2.0, 2.05) unique True pick (0,)\n", {}),
+    "buridan-tie": (["--name", "buridan", "--epsilon", "0"],
+                    "tau_c 2 interval (2.0, 2.0) unique False pick (0,)\n", {}),
+    "truss": (["--name", "truss"], "kept group (1,) potential -1.89181\n", {}),
+    "truss-asymmetric": (["--name", "truss", "--a", "0.7", "--b", "1.9", "--epsilon", "-0.02"],
+                         "kept group (0,) potential -0.977444\n", {}),
+    "simp-surface": (
+        ["--name", "simp-surface"],
+        "boundary argmin (0.4999999958147089, 0.5000000041852911) minima "
+        "((0.0, 1.8918058124456125), (0.4999999958147089, 1.3333333333333335), "
+        "(1.0, 1.8918058124456125))\n",
+        {"simp_surface.csv": "5582f494ddbf375a9998a26f5d334d034eec57b173e36962c6a3d887bdc4696b"}),
+    "double-well": (
+        ["--name", "double-well"],
+        "varsigma +0.236417 x +2.11491 potential -1.02951 [global_min]\n"
+        "varsigma -0.268701 x -1.86081 potential +0.966503 [local_min]\n"
+        "varsigma -1.96772 x -0.254102 potential +2.063 [local_max]\n",
+        {"double_well_roots.csv":
+         "70e5c9ed0f9106cb07e0ff5f6478c1ef522b788dc54d617aa6d555732a1dd3d7"}),
+    "double-well-symmetric": (
+        ["--name", "double-well", "--f", "0"],
+        "varsigma -2 x +0 potential +2 [local_max]\nperturbation minimizers (2.0, -2.0)\n",
+        {"double_well_roots.csv":
+         "d5cd651a5ffe675d39aa95baafd479039448399a42344abc53cc408dcd610468"}),
+}
+
+
+@pytest.mark.parametrize("case", list(DEMO_PINS))
+def test_demo_output_is_pinned(tmp_path, capsys, case):
+    args, stdout, digests = DEMO_PINS[case]
+    assert cli.main(["demo", *args, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.replace(f" -> {tmp_path / 'simp_surface.csv'}", "") == stdout
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == digests
 
 
 def test_main_demo_double_well(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Property tests of SIMP's optimality-criteria update.
 
 The oracle is the update as it stood before its bisection skipped the
-steps that monotonicity decides: it evaluates every step.  The update
-must return its bits and its bisection count on any densities in
-[X_MIN, 1], sensitivities dc <= 0 with some zeros, and volume fractions
-in (0, 1].  The sensitivities are scaled by 1e-6 to 1e12, so the
+steps that monotonicity decides: it evaluates every step, and it stops
+where the update does, once the bracket is narrow relative to
+l1 + l2 + 1e-30 max(b).  The update must return its bits and its
+bisection count on any densities in [X_MIN, 1], sensitivities dc <= 0
+with some zeros, and volume fractions in (0, 1].  The sensitivities are scaled by 1e-6 to 1e12, so the
 multiplier's (0, 1e9] bracket has to grow on some draws.
 """
 
@@ -25,8 +26,10 @@ def plain_oc_update(x, dc, dv, volfrac):
     """Optimality-criteria step with bisection on the volume multiplier in
     (0, 1e9], whose upper end doubles while the target lies beyond it."""
 
+    b = np.maximum(-dc, 0.0)
+
     def step(lam):
-        cand = x * (np.maximum(-dc, 0.0) / (dv * lam)) ** OC_ETA
+        cand = x * (b / (dv * lam)) ** OC_ETA
         return np.clip(np.clip(cand, x - OC_MOVE, x + OC_MOVE), X_MIN, 1.0)
 
     l1, l2 = 0.0, 1e9
@@ -36,7 +39,8 @@ def plain_oc_update(x, dc, dv, volfrac):
         l2 *= 2.0
         xnew = step(l2)
     bisections = 0
-    while (l2 - l1) / (l1 + l2 + 1e-30) > 1e-9:
+    tiny = 1e-30 * float(b.max()) or 1e-30  # scales with the multiplier
+    while (l2 - l1) / (l1 + l2 + tiny) > 1e-9:
         bisections += 1
         lmid = 0.5 * (l1 + l2)
         xnew = step(lmid)
