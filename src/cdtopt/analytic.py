@@ -31,10 +31,11 @@ __all__ = [
 def buridan(w_base, epsilon, perturb=True):
     """Two equal-volume items, budget one: gains (w_base + epsilon, w_base).
 
-    Returns (ExistenceReport, BinaryDensity).  With epsilon = 0 the two
-    items tie; the report flags both and the returned pick comes from the
-    deterministic ramp tie-break (or DegenerateInstance when ``perturb``
-    is disabled).
+    Returns (TauCritical, BinaryDensity): the critical interval is the
+    uniqueness report, open for a unique pick.  With epsilon = 0 the two
+    items tie and the interval is empty at their common ratio; the returned
+    pick comes from the deterministic ramp tie-break (or DegenerateInstance
+    when ``perturb`` is disabled).
     """
     if not 0.0 < w_base < math.inf:
         raise ValueError("w_base must be finite and positive")
@@ -43,10 +44,10 @@ def buridan(w_base, epsilon, perturb=True):
     instance = knapsack.KnapsackInstance(
         w=np.array([w_base + epsilon, w_base]), v=np.array([1.0, 1.0]), V_target=1.0
     )
-    report = knapsack.existence_check(instance)
+    tc = knapsack.existence_check(instance)
     params = knapsack.SolveParams(perturb=perturb)
     result = knapsack.solve(instance, params=params)
-    return report, result.density
+    return tc, result.density
 
 
 def _penalized_compliance(a, b, p):
@@ -124,10 +125,12 @@ def simp_counterexample(a, b, p=2.0, grid_resolution=1e-4):
     samples both endpoints as candidates, plus golden-section refinement.
     """
     val = _penalized_compliance(a, b, p)
-    # the corners sample 0 ** p, which divides by zero for p < 0; p = 0 makes
-    # the surface flat, so every boundary sample would be a minimum
+    # the corners sample 0 ** p, which divides by zero for p < 0; p = 0, and
+    # a = b at p = 1, make the boundary flat, so every sample would be a minimum
     if not 0.0 < p < math.inf:
         raise ValueError("p must be finite and positive")
+    if a == b and p == 1.0:
+        raise ValueError("a = b at p = 1 makes the boundary flat: every sample is a minimum")
     if not 0.0 < grid_resolution <= 0.5:
         raise ValueError("grid resolution must lie in (0, 0.5]")
     side = np.linspace(0.05, 1.0, 39)

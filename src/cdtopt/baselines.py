@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -55,8 +56,8 @@ class SimpConfig:
             raise ValueError("rmin must be finite and >= 1")
         if not 0.0 < self.omega2 < math.inf:
             raise ValueError("omega2 must be finite and positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
+        if not (isinstance(self.max_outer, numbers.Integral) and self.max_outer >= 1):
+            raise ValueError("max_outer must be a whole number >= 1")
 
 
 def check_simp_volfrac(volfrac):
@@ -243,12 +244,11 @@ METHODS = {
 def method_config(name, options):
     """Config of method ``name`` of :data:`METHODS`, with each field that
     ``options`` names set from it.  Raises ValueError on any value out of
-    range, ``options["volfrac"]`` included, before anything runs."""
+    range, ``options["volfrac"]`` included (by :class:`CdtConfig` for CDT
+    and BESO), before anything runs."""
     config_cls, _ = METHODS[name]
     if name == "simp":
         check_simp_volfrac(options["volfrac"])
-    else:
-        check_volfrac(options["volfrac"])
     return config_cls(**{f.name: options[f.name] for f in fields(config_cls)
                          if f.name in options})
 

@@ -243,10 +243,10 @@ def _cmd_demo(options):
     name = options["name"]
     perturb = not options.get("no_perturb", False)
     if name == "buridan":
-        report, density = analytic.buridan(options["w_base"], options["epsilon"],
-                                           perturb=perturb)
-        print(f"tau_c {report.tau_c:.6g} interval {report.interval} "
-              f"unique {report.unique} pick {density.support()}")
+        tc, density = analytic.buridan(options["w_base"], options["epsilon"],
+                                       perturb=perturb)
+        print(f"tau_c {tc.value:.6g} interval {(tc.lo, tc.hi)} "
+              f"unique {tc.is_interval} pick {density.support()}")
     elif name == "truss":
         density, potential = analytic.symmetric_truss(options["a"], options["b"],
                                                       options["epsilon"], perturb=perturb)

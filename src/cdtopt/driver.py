@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -76,8 +77,8 @@ class CdtConfig:
             raise ValueError("mu must exceed the volume fraction")
         if not 0.0 < self.omega2 < math.inf:
             raise ValueError("omega2 must be finite and positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
+        if not (isinstance(self.max_outer, numbers.Integral) and self.max_outer >= 1):
+            raise ValueError("max_outer must be a whole number >= 1")
 
 
 @dataclass

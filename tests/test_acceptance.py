@@ -87,13 +87,13 @@ def test_criterion_2_cubic_residual_property():
 def test_criterion_3_buridan():
     t0 = time.perf_counter()
     rep, dens = analytic.buridan(2.0, 0.05)
-    lo, hi = rep.interval
+    lo, hi = rep.lo, rep.hi
     ok = dens.rho.tolist() == [1.0, 0.0]
     ok = ok and (lo, hi) == (2.0, 2.05) and lo <= 2.0184 <= hi
     bf = knapsack.brute_force(
         knapsack.KnapsackInstance(np.array([2.0, 2.0]), np.array([1.0, 1.0]), 1.0))
     rep0, _ = analytic.buridan(2.0, 0.0)
-    ok = ok and len(bf.optima) == 2 and not rep0.unique
+    ok = ok and len(bf.optima) == 2 and not rep0.is_interval
     report("criterion 3 tie-broken two-item pick", time.perf_counter() - t0,
            1.0, ok, f"(interval [{lo}, {hi}])")
 

@@ -15,8 +15,8 @@ B = (4.0 + math.sqrt(2.0)) / 2.0
 
 def test_buridan_symmetric_degenerate_two_optima():
     report, density = analytic.buridan(2.0, 0.0)
-    assert not report.unique
-    assert report.degenerate_indices == (0, 1)
+    assert not report.is_interval
+    assert (report.lo, report.hi) == (2.0, 2.0)  # the tie value, both ratios
     bf = knapsack.brute_force(
         knapsack.KnapsackInstance(np.array([2.0, 2.0]), np.array([1.0, 1.0]), 1.0))
     assert len(bf.optima) == 2
@@ -25,9 +25,9 @@ def test_buridan_symmetric_degenerate_two_optima():
 
 def test_buridan_perturbed_unique_and_interval():
     report, density = analytic.buridan(2.0, 0.05)
-    assert report.unique
+    assert report.is_interval
     assert density.rho.tolist() == [1.0, 0.0]
-    lo, hi = report.interval
+    lo, hi = report.lo, report.hi
     assert (lo, hi) == (2.0, 2.05)
     assert lo <= 2.0184 <= hi
 
@@ -129,8 +129,10 @@ def test_counterexample_default_scan_steps_by_the_resolution():
     ({"p": 0.0}, "p must"),
     ({"a": math.inf}, "a and b"),
     ({"b": math.nan}, "a and b"),
+    # a = b at p = 1 makes the boundary flat: rounding alone would pick the minima
+    ({"a": 0.7, "b": 0.7, "p": 1.0}, "flat"),
 ], ids=["resolution-0", "resolution-negative", "resolution-2", "resolution-nan", "p-nan",
-        "p-inf", "p-negative", "p-0", "a-inf", "b-nan"])
+        "p-inf", "p-negative", "p-0", "a-inf", "b-nan", "a-equals-b-at-p-1"])
 def test_counterexample_rejects_bad_values(kwargs, name):
     args = {"a": A, "b": B, **kwargs}
     with pytest.raises(ValueError, match=name):

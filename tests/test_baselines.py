@@ -126,6 +126,16 @@ def test_simp_rejects_a_volfrac_below_the_density_floor():
     run_simp(build_mbb(12, 4), X_MIN, SimpConfig(max_outer=1))  # the floor itself is reachable
 
 
+@pytest.mark.parametrize("max_outer", [2.5, math.nan], ids=["fraction", "nan"])
+def test_configs_reject_a_max_outer_that_is_not_a_whole_number(max_outer):
+    # the outer loop counts its steps with range(), which takes only integers
+    with pytest.raises(ValueError, match="max_outer"):
+        CdtConfig(volfrac=0.5, mu=0.9, max_outer=max_outer)
+    with pytest.raises(ValueError, match="max_outer"):
+        SimpConfig(max_outer=max_outer)
+    assert SimpConfig(max_outer=np.int64(3)).max_outer == 3  # numpy integers pass
+
+
 def test_simp_config_validation():
     with pytest.raises(ValueError):
         SimpConfig(penal=0.5)

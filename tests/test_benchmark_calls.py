@@ -65,8 +65,9 @@ def test_benchmark_tracer_wraps_names_that_exist_and_puts_them_back(tmp_path, mo
     # one take: the wrappers keep appending to the list they were made with
     spans = tracer.take()
     layers = tracing.layer_metrics(spans, record.outer_iterations + len(stream.outcomes))
-    # among them, the names that keep code no command runs in the library:
-    # fem's sparse oracles, existence_check and the finite-beta iteration
+    # among them, the names kept for the tracer: fem's sparse oracles and the
+    # finite-beta iteration, which no command runs, and existence_check, an
+    # alias of tau_critical that only `demo --name buridan` calls by that name
     assert {("cdtopt.fem", "assemble"), ("cdtopt.fem", "free_dofs"), ("cdtopt.fem", "spla"),
             ("cdtopt.baselines", "assemble"), ("cdtopt.baselines", "solve_equilibrium"),
             ("cdtopt.knapsack", "existence_check"),

@@ -440,10 +440,11 @@ def test_main_run_load_without_energy_is_a_solver_error_naming_it(tmp_path, caps
     (["--name", "buridan", "--epsilon", "inf"], "epsilon"),
     (["--name", "truss", "--epsilon", "nan"], "epsilon"),
     (["--name", "truss", "--epsilon", "inf"], "epsilon"),
+    (["--name", "simp-surface", "--a", "1", "--b", "1", "--p", "1"], "flat"),
 ], ids=["resolution-0", "resolution-negative", "resolution-2", "resolution-nan", "p-nan",
         "surface-a-inf", "lambda-inf", "f-nan", "truss-a-inf", "p-negative", "p-0",
         "w-base-inf", "w-base-nan", "buridan-epsilon-nan", "buridan-epsilon-inf",
-        "truss-epsilon-nan", "truss-epsilon-inf"])
+        "truss-epsilon-nan", "truss-epsilon-inf", "surface-flat"])
 def test_demo_bad_value_is_a_usage_error_naming_it(tmp_path, capsys, args, name):
     out = tmp_path / "out"
     assert cli.main(["demo", *args, "--out", str(out)]) == 1

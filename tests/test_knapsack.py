@@ -104,7 +104,7 @@ def test_dual_objective_beta_large_beta_limit():
     pt = kp.DualPoint(np.array([1.0]), 1.0)
     val = kp.dual_objective_beta(pt, inst, 1.0, 1e12)
     assert val == pytest.approx(-1.0, abs=1e-9)
-    assert val == pytest.approx(kp.dual_objective(pt, inst, 1.0), abs=1e-9)
+    assert val == pytest.approx(kp.dual_objective_beta(pt, inst, 1.0, math.inf), abs=1e-9)
 
 
 def test_dual_objective_beta_monotone_in_beta():
@@ -116,9 +116,19 @@ def test_dual_objective_beta_monotone_in_beta():
 
 def test_dual_objective_values():
     inst = make([1.0], [1.0], 0.5)
-    assert kp.dual_objective(kp.DualPoint(np.array([1.0]), 0.0), inst, 0.5) == -1.0
+    assert kp.dual_objective_beta(kp.DualPoint(np.array([1.0]), 0.0), inst, 0.5,
+                                  math.inf) == -1.0
     inst2 = make([0.0], [1.0], 1.0)
-    assert kp.dual_objective(kp.DualPoint(np.array([1.0]), 1.0), inst2, 1.0) == -1.0
+    assert kp.dual_objective_beta(kp.DualPoint(np.array([1.0]), 1.0), inst2, 1.0,
+                                  math.inf) == -1.0
+
+
+def test_penalty_free_dual_is_minus_inf_where_sigma_squared_overflows():
+    # at beta = inf there is no penalty term: sum sigma^2 / inf would be nan
+    inst = make([0.0], [1.0], 0.5)
+    pt = kp.DualPoint(np.array([1e200]), 0.0)
+    with np.errstate(over="ignore"):
+        assert kp.dual_objective_beta(pt, inst, 0.5, math.inf) == -math.inf
 
 
 def test_weak_duality_against_enumeration():
@@ -130,10 +140,10 @@ def test_weak_duality_against_enumeration():
         best = kp.brute_force(inst).objective
         for _ in range(5):
             pt = kp.DualPoint(np.exp(rng.normal(size=n)), rng.uniform(0, 3))
-            assert kp.dual_objective(pt, inst, inst.V_target) <= -(-best) + 1e-12  # <= max gain
+            d_inf = kp.dual_objective_beta(pt, inst, inst.V_target, math.inf)
+            assert d_inf <= -(-best) + 1e-12  # <= max gain
             # the beta value can only be lower
-            assert kp.dual_objective_beta(pt, inst, inst.V_target, 7.0) <= \
-                kp.dual_objective(pt, inst, inst.V_target) + 1e-12
+            assert kp.dual_objective_beta(pt, inst, inst.V_target, 7.0) <= d_inf + 1e-12
 
 
 def test_dual_objective_beta_concavity():
@@ -226,7 +236,7 @@ def F_min_oracle(inst, budget):
     # F(tau) = sum(|w - tau v| - tau v) + 2 tau V is convex and piecewise
     # linear with kinks at the ratios, and its slope past the largest ratio
     # is 2V > 0, so its minimum over tau >= 0 sits at 0 or at a ratio
-    return min(F_of(inst, budget, t) for t in [0.0, *inst.ratios()])
+    return min(F_of(inst, budget, t) for t in [0.0, *inst.ratios])
 
 
 def test_tau_critical_buridan_interval():
@@ -262,7 +272,7 @@ def test_equal_volume_tau_critical_makes_one_single_rank_selection(V, calls):
         tc = kp.tau_critical(inst)
     assert len(kths) == calls
     assert all(np.ndim(kth) == 0 for kth in kths)
-    r = np.sort(inst.ratios())
+    r = np.sort(inst.ratios)
     m = 16 - kp.affordable_count(inst.v, V)
     assert (tc.lo, tc.hi) == (r[m - 1] if m else 0.0, r[m] if m < 16 else math.inf)
 
@@ -280,20 +290,20 @@ def test_tau_critical_minimizes_scan_oracle_random():
 
 def test_existence_symmetric_flags_both():
     rep = kp.existence_check(make([2.0, 2.0], [1.0, 1.0], 1.0))
-    assert rep.degenerate_indices == (0, 1)
-    assert not rep.unique
+    assert (rep.lo, rep.hi) == (2.0, 2.0)  # the tie value, both ratios
+    assert not rep.is_interval
 
 
 def test_existence_perturbed_unique():
     rep = kp.existence_check(make([2.05, 2.0], [1.0, 1.0], 1.0))
-    assert rep.unique
+    assert rep.is_interval
 
 
 def test_existence_single_element_both_budgets():
     # below the element volume the only design is empty; at the volume
     # the element fits: both are unique situations for generic gains
-    assert kp.existence_check(make([1.0], [1.0], 0.5)).unique
-    assert kp.existence_check(make([1.0], [1.0], 1.0)).unique
+    assert kp.existence_check(make([1.0], [1.0], 0.5)).is_interval
+    assert kp.existence_check(make([1.0], [1.0], 1.0)).is_interval
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +313,7 @@ def test_existence_single_element_both_budgets():
 def test_perturb_ramp_values():
     inst = perturbed = kp.perturb(make([2.0, 2.0], [1.0, 1.0], 1.0), 0.05)
     assert perturbed.w.tolist() == [2.05, 2.025]
-    assert kp.existence_check(perturbed).unique
+    assert kp.existence_check(perturbed).is_interval
 
 
 def test_perturb_zero_is_identity():
@@ -322,14 +332,14 @@ def test_perturb_builds_its_own_ratios_and_total_volume():
     # copy must not carry its parent's
     inst = make([2.0, 2.0, 1.0], [0.5, 0.25, 0.25], 0.5)
     perturbed = kp.perturb(inst, 0.1)
-    assert perturbed.ratios() is not inst.ratios()
-    assert np.array_equal(perturbed.ratios(), perturbed.w / perturbed.v)
-    assert inst.ratios().tolist() == [4.0, 8.0, 4.0]
+    assert perturbed.ratios is not inst.ratios
+    assert np.array_equal(perturbed.ratios, perturbed.w / perturbed.v)
+    assert inst.ratios.tolist() == [4.0, 8.0, 4.0]
     assert perturbed.total_volume == float(perturbed.v.sum())
     resized = dataclasses.replace(inst, v=np.full(3, 2.0))
-    assert (resized.total_volume, resized.equal_volumes()) == (6.0, True)
-    assert (inst.total_volume, inst.equal_volumes()) == (1.0, False)
-    assert resized.ratios().tolist() == [1.0, 1.0, 0.5]
+    assert (resized.total_volume, resized.equal_volumes) == (6.0, True)
+    assert (inst.total_volume, inst.equal_volumes) == (1.0, False)
+    assert resized.ratios.tolist() == [1.0, 1.0, 0.5]
 
 
 def test_perturb_argmax_invariance_below_gap():
@@ -400,7 +410,7 @@ def test_solve_strong_duality_certificate():
         assert cert.residual == abs(-cert.gain - cert.dual_objective)
         assert cert.residual <= 1e-15 * abs(cert.dual_objective)
         # weak duality: D_inf at any tau >= 0 bounds -w.rho from below
-        for t in np.linspace(0.0, 2.0 * float(inst.ratios().max()), 50):
+        for t in np.linspace(0.0, 2.0 * float(inst.ratios.max()), 50):
             assert d_inf(inst, t, budget) <= \
                 -cert.gain + 1e-14 * abs(cert.gain)
 
@@ -619,25 +629,25 @@ def test_instance_rejects_a_ratio_that_overflows():
     for w, v in (([1e308, 1e308, 1e300], [1 / 3] * 3), ([1.5e308, 1.0], [1 / 3] * 2)):
         with pytest.raises(kp.NonFinite, match="ratio overflows"):
             make(w, v, 2 / 3)
-    assert make([1e308, 0.0], [1.0, 1e-10], 0.5).ratios().tolist() == [1e308, 0.0]
+    assert make([1e308, 0.0], [1.0, 1e-10], 0.5).ratios.tolist() == [1e308, 0.0]
 
 
 def test_instance_accepts_a_negative_zero_gain():
     inst = make([-0.0, 1.0], [1.0, 1.0], 1.0)
-    assert inst.ratios().tolist() == [0.0, 1.0]
+    assert inst.ratios.tolist() == [0.0, 1.0]
 
 
 def test_equal_volume_flag_is_exact():
-    assert make([1.0, 2.0], [0.5, 0.5], 0.5).equal_volumes()
-    assert not make([1.0, 2.0], [0.5, np.nextafter(0.5, 1.0)], 0.5).equal_volumes()
-    assert not make([1.0, 2.0], [np.nextafter(0.5, 0.0), 0.5], 0.5).equal_volumes()
+    assert make([1.0, 2.0], [0.5, 0.5], 0.5).equal_volumes
+    assert not make([1.0, 2.0], [0.5, np.nextafter(0.5, 1.0)], 0.5).equal_volumes
+    assert not make([1.0, 2.0], [np.nextafter(0.5, 0.0), 0.5], 0.5).equal_volumes
 
 
 def test_instance_ratios_are_read_only():
     inst = make([2.0, 1.0], [1.0, 1.0], 1.0)
     with pytest.raises(ValueError):
-        inst.ratios()[0] = 0.0
-    assert inst.ratios().tolist() == [2.0, 1.0]
+        inst.ratios[0] = 0.0
+    assert inst.ratios.tolist() == [2.0, 1.0]
 
 
 def test_dual_point_validation():
