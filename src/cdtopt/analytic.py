@@ -50,6 +50,11 @@ def buridan(w_base, epsilon, perturb=True):
     return tc, result.density
 
 
+# a boundary scan minimum must lie deeper than this many times the largest
+# sample: a few ulp, the most that rounding moves a sample
+ROUNDING_RTOL = 4 * np.finfo(float).eps
+
+
 def _penalized_compliance(a, b, p):
     # 1/2 f.u of the two-group truss under the unit load f = (1, 1), the
     # groups at densities r1 and r2 penalized by the power p
@@ -117,20 +122,40 @@ def _golden_min(fun, lo, hi, tol=1e-10):
     return x, fun(x)
 
 
+def _basin_bottoms(g, tol):
+    """Index of the lowest sample of each basin of ``g`` whose walls rise
+    more than ``tol`` above it; an end of the scan serves as a wall."""
+    bottoms, lo, hi, falling = [], 0, 0, True
+    for k in range(1, g.size):
+        if falling:
+            if g[k] < g[lo]:
+                lo = k
+            elif g[k] > g[lo] + tol:
+                bottoms.append(lo)
+                falling, hi = False, k
+        elif g[k] > g[hi]:
+            hi = k
+        elif g[k] < g[hi] - tol:
+            falling, lo = True, k
+    if falling:
+        bottoms.append(lo)
+    return bottoms
+
+
 def simp_counterexample(a, b, p=2.0, grid_resolution=1e-4):
     """Sample the penalized compliance under the unit load (1, 1) on
     (0,1]^2 and minimize it on the material-budget boundary rho1 + rho2 = 1.
 
     Boundary minima are located with a scan at ``grid_resolution``, which
     samples both endpoints as candidates, plus golden-section refinement.
+    A scan minimum counts only when its basin is deeper than
+    ``ROUNDING_RTOL`` times the largest sample, so rounding alone makes
+    none; a boundary that varies by less than that is flat and refused.
     """
     val = _penalized_compliance(a, b, p)
-    # the corners sample 0 ** p, which divides by zero for p < 0; p = 0, and
-    # a = b at p = 1, make the boundary flat, so every sample would be a minimum
+    # the corners sample 0 ** p, which divides by zero for p < 0
     if not 0.0 < p < math.inf:
         raise ValueError("p must be finite and positive")
-    if a == b and p == 1.0:
-        raise ValueError("a = b at p = 1 makes the boundary flat: every sample is a minimum")
     if not 0.0 < grid_resolution <= 0.5:
         raise ValueError("grid resolution must lie in (0, 0.5]")
     side = np.linspace(0.05, 1.0, 39)
@@ -139,16 +164,19 @@ def simp_counterexample(a, b, p=2.0, grid_resolution=1e-4):
                             val(r1g, r2g).ravel()])
     t = np.append(np.arange(0.0, 1.0 - grid_resolution / 2, grid_resolution), 1.0)
     g = val(t, 1.0 - t)
+    tol = ROUNDING_RTOL * float(g.max())
+    if not g.max() - g.min() > tol:
+        raise ValueError(
+            f"a = {a}, b = {b} at p = {p} make the boundary flat: it varies by "
+            "no more than rounding, so every sample would be a minimum")
     minima = []
-    if g[0] < g[1]:
-        minima.append((float(t[0]), float(g[0])))
-    interior = np.flatnonzero((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:])) + 1
-    for i in interior:
+    for i in _basin_bottoms(g, tol):
+        if i in (0, t.size - 1):
+            minima.append((float(t[i]), float(g[i])))
+            continue
         x, fx = _golden_min(lambda s: val(s, 1.0 - s), t[i - 1], t[i + 1])
         if not any(abs(x - m[0]) < 10 * grid_resolution for m in minima):
             minima.append((float(x), float(fx)))
-    if g[-1] < g[-2]:
-        minima.append((float(t[-1]), float(g[-1])))
     best = min(minima, key=lambda m: m[1])
     return CounterexampleResult(
         grid=grid,

@@ -40,7 +40,6 @@ by a deterministic ramp perturbation of the gains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 import math
 
 import numpy as np
@@ -645,12 +644,6 @@ def solve(instance, params=None):
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _bits16():
-    m = np.arange(1 << 16, dtype=np.int64)
-    return ((m[:, None] >> np.arange(16)) & 1).astype(float)
-
-
 def brute_force(instance):
     """Enumerate all subsets; returns the best gain and every argmax subset.
 
@@ -661,10 +654,17 @@ def brute_force(instance):
         raise TooLarge(f"n = {n} exceeds the enumeration limit of 25")
     w, v = instance.w, instance.v
     V = instance.V_target + 1e-9 * instance.total_volume
+    # gain and volume of every subset of the first `low` elements, from a
+    # 0/1 table of the row numbers' bits built 4096 rows at a time
     low = min(n, 16)
-    T = _bits16()[: 1 << low, :low]
-    gains_low = T @ w[:low]
-    vols_low = T @ v[:low]
+    gains_low = np.empty(1 << low)
+    vols_low = np.empty(1 << low)
+    for start in range(0, 1 << low, 4096):
+        rows = np.arange(start, min(start + 4096, 1 << low), dtype="<u2")
+        T = np.unpackbits(rows.view(np.uint8).reshape(-1, 2), axis=1,
+                          bitorder="little")[:, :low].astype(float)
+        gains_low[start:start + len(rows)] = T @ w[:low]
+        vols_low[start:start + len(rows)] = T @ v[:low]
     best = -math.inf
     best_masks = []
     for hi in range(1 << (n - low)):

@@ -131,12 +131,30 @@ def test_counterexample_default_scan_steps_by_the_resolution():
     ({"b": math.nan}, "a and b"),
     # a = b at p = 1 makes the boundary flat: rounding alone would pick the minima
     ({"a": 0.7, "b": 0.7, "p": 1.0}, "flat"),
+    # at p = 1 the boundary varies by about (a - b)^2: below rounding here
+    ({"a": 1.0, "b": 1.0 + 1e-15, "p": 1.0}, "flat"),
+    ({"a": 1.0, "b": 1.0 + 1e-12, "p": 1.0}, "flat"),
+    ({"a": 1.0, "b": 1.0 + 1e-9, "p": 1.0}, "flat"),
 ], ids=["resolution-0", "resolution-negative", "resolution-2", "resolution-nan", "p-nan",
-        "p-inf", "p-negative", "p-0", "a-inf", "b-nan", "a-equals-b-at-p-1"])
+        "p-inf", "p-negative", "p-0", "a-inf", "b-nan", "a-equals-b-at-p-1",
+        "b-1e-15-above-a-at-p-1", "b-1e-12-above-a-at-p-1", "b-1e-9-above-a-at-p-1"])
 def test_counterexample_rejects_bad_values(kwargs, name):
     args = {"a": A, "b": B, **kwargs}
     with pytest.raises(ValueError, match=name):
         analytic.simp_counterexample(**args)
+
+
+@pytest.mark.parametrize("kwargs,minima", [
+    ({"a": 1.0, "b": 1.0 + 1e-6, "p": 1.0}, [0.5]),
+    ({"a": 1.0, "b": 1.0, "p": 1.0 + 1e-12}, [0.0, 1.0]),
+    ({"p": 2.0}, [0.0, 0.5, 1.0]),
+    ({"p": 3.0}, [0.0, 0.5, 1.0]),
+], ids=["b-1e-6-above-a-at-p-1", "a-equals-b-just-above-p-1", "p-2", "p-3"])
+def test_counterexample_counts_only_minima_deeper_than_rounding(kwargs, minima):
+    # rounding leaves hundreds of samples below their neighbours on a
+    # boundary a few ulp from flat; only a deeper basin is a minimum
+    res = analytic.simp_counterexample(**{"a": A, "b": B, **kwargs})
+    assert [t for t, _ in res.minima] == pytest.approx(minima, abs=0.05)
 
 
 TRUSS = (analytic.symmetric_truss, {"a": A, "b": B, "epsilon": 0.01})

@@ -1,5 +1,10 @@
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -348,9 +353,10 @@ def test_perturb_argmax_invariance_below_gap():
         n = int(rng.integers(3, 11))
         inst = make(rng.uniform(0.1, 1, n), np.full(n, 1 / n), rng.uniform(0.2, 0.9))
         bf = kp.brute_force(inst)
-        # smallest positive gap between subset objective values
-        low = min(n, 16)
-        gains = np.unique(kp._bits16()[: 1 << n, :n] @ inst.w)
+        # smallest positive gap between subset objective values; row m of
+        # the table holds the bits of m, one subset per row
+        subsets = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+        gains = np.unique(subsets @ inst.w)
         gaps = np.diff(gains)
         gap = float(gaps[gaps > 1e-12].min())
         eps = 0.5 * gap / n
@@ -573,6 +579,65 @@ def test_brute_force_chunked_path():
     inst = make(w, np.full(18, 1 / 18), 0.5)
     bf = kp.brute_force(inst)
     assert kp.solve(inst).certificate.gain == bf.objective
+
+
+def oracle_table():
+    # n 1-25; integer gains in 0-3 tie exactly, two-decimal and log-normal
+    # gains less often; equal and unequal volumes; budgets across (0, total]
+    rng = np.random.default_rng(29)
+    gains = {
+        "integer": lambda n: rng.integers(0, 4, n).astype(float),
+        "cents": lambda n: np.round(rng.uniform(0.0, 10.0, n), 2),
+        "lognormal": lambda n: rng.lognormal(0.0, 1.0, n),
+    }
+    cases = [(kind, equal) for kind in gains for equal in (True, False)]
+    for n in range(1, 26):
+        # past n = 16 each instance enumerates 2**(n - 16) blocks: two a size
+        for i, (kind, equal) in enumerate(cases if n <= 16 else cases[n % 3::3]):
+            v = np.full(n, 1.0 / n) if equal else rng.uniform(0.1, 1.0, n)
+            fraction = 1.0 if i == 0 else 1.0 - rng.uniform(0.0, 1.0)
+            yield make(gains[kind](n), v, fraction * float(v.sum()))
+
+
+# sha256 of every (objective, optima) of oracle_table(), recorded with the
+# cached 65536-row subset table the oracle used before it built its table
+# block by block; the same at 1 and 2 BLAS threads
+ORACLE_DIGEST = "213ce2780433ca3bebb87c30d5449d49589339513ecfa3840fd17eaf39e69189"
+
+
+def test_brute_force_answers_are_pinned():
+    digest = hashlib.sha256()
+    for inst in oracle_table():
+        bf = kp.brute_force(inst)
+        digest.update(repr((bf.objective.hex(), bf.optima)).encode())
+    assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def test_brute_force_keeps_no_memory():
+    # a fresh interpreter: nothing an earlier test built is in the count
+    code = (
+        "import tracemalloc\n"
+        "import numpy as np\n"
+        "from cdtopt import knapsack as kp\n"
+        "for n in (2, 20):\n"
+        "    inst = kp.KnapsackInstance(np.linspace(1.0, 2.0, n), np.ones(n), n / 2)\n"
+        "    tracemalloc.start()\n"
+        "    kp.brute_force(inst)\n"
+        "    print(*tracemalloc.get_traced_memory())\n"
+        "    tracemalloc.stop()\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(kp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        retained, peak = map(int, line.split())
+        assert retained < 64 * 1024
+        assert peak < 4 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
