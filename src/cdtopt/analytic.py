@@ -201,18 +201,24 @@ class DualRoot:
 @dataclass(frozen=True)
 class TrialityResult:
     roots: tuple                 # DualRoot, sorted by varsigma descending
-    symmetric: bool              # True for the f = 0 case
+    symmetric: bool              # True for f = 0, or where |f|^2 underflows
     perturbation_minimizers: tuple = ()
 
 
-def _dw_potential(beta, lam, f, x):
-    x = np.asarray(x, dtype=float)
-    return float(0.5 * beta * (0.5 * np.dot(x, x) - lam) ** 2 - np.dot(x, f))
-
-
-def _dw_dual(beta, lam, f, s):
-    fn2 = float(np.dot(f, f))
-    return -fn2 / (2.0 * s) - 0.5 * s * s / beta - lam * s
+def _bisect(k, lo, hi):
+    """A root of ``k`` on [lo, hi], where k(lo) and k(hi) differ in sign or
+    one is 0: that end, else the end of the adjacent-float bracket that
+    bisection closes on where |k| is smaller."""
+    k_lo, k_hi = k(lo), k(hi)
+    mid = 0.5 * (lo + hi)
+    while k_lo != 0.0 and k_hi != 0.0 and lo < mid < hi:
+        k_mid = k(mid)
+        if (k_mid < 0.0) == (k_lo < 0.0):
+            lo, k_lo = mid, k_mid
+        else:
+            hi, k_hi = mid, k_mid
+        mid = 0.5 * (lo + hi)
+    return lo if abs(k_lo) <= abs(k_hi) else hi
 
 
 def double_well_triality(beta, lam, f):
@@ -221,67 +227,51 @@ def double_well_triality(beta, lam, f):
     floats, classified, with the matching primal critical points
     x = f / varsigma.
 
-    For f = 0 the dual keeps a single negative critical point -beta*lam
-    (the primal local maximum at the origin); the ring of minimizers at
-    |x| = sqrt(2 lam) is reported through ``perturbation_minimizers`` as
-    the vanishing-perturbation limit.
+    The cubic is at most 0 at 0 and at -beta*lam and grows without bound,
+    so one root is positive; when it is positive at its maximum below 0,
+    -2 beta lam / 3, one root lies on each side of that maximum.  Each
+    bracket is bisected to adjacent floats.  The root 0, the double root of
+    f = 0, has no primal mate and is dropped: for |f|^2 = 0 only the local
+    maximum at -beta*lam is left, and the ring of minimizers |x| =
+    sqrt(2 lam), which the minimizers approach as f -> 0, is reported
+    through ``perturbation_minimizers``.
     """
     if not (0.0 < beta < math.inf and 0.0 < lam < math.inf):
         raise ValueError("beta and lam must be finite and positive")
     f = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(f)):
         raise ValueError("f must be finite")
-    fn2 = float(np.dot(f, f))
-    if fn2 == 0.0:
-        s3 = -beta * lam
-        x3 = tuple(0.0 for _ in f)
-        root = DualRoot(
-            varsigma=s3,
-            x=x3,
-            potential=_dw_potential(beta, lam, f, x3),
-            dual_potential=_dw_dual(beta, lam, f, s3),
-            kind="local_max",
-        )
-        r = math.sqrt(2.0 * lam)
-        return TrialityResult(
-            roots=(root,),
-            symmetric=True,
-            perturbation_minimizers=(r, -r),
-        )
-    # varsigma^3 / beta + lam varsigma^2 - |f|^2/2 = 0
-    coeffs = [1.0 / beta, lam, 0.0, -0.5 * fn2]
-    raw = np.roots(coeffs)
+    # f is the symmetric 0 where |f|^2 underflows; the roots take |f|
+    # unsquared, as a subnormal |f|^2 keeps too few digits to place them
+    fn = math.hypot(*f)
+    symmetric = fn * fn == 0.0
+    fn = 0.0 if symmetric else fn
+    bl = float(beta * lam)
+
+    def k(s):
+        # the sign of the cubic for s >= -beta lam, with |f| unsquared
+        return abs(s) * math.sqrt((s + bl) / beta) - fn / math.sqrt(2.0)
+
+    # the positive root lies below |f| / sqrt(2 lam), so the cubic is
+    # positive, beyond rounding, at sqrt(2) times that
+    peak = -2.0 * bl / 3.0
+    brackets = [(0.0, fn / math.sqrt(lam), "global_min")]
+    if k(peak) > 0.0:
+        brackets += [(peak, 0.0, "local_min" if f.size == 1 else "negative_branch"),
+                     (-bl, peak, "local_max")]
     roots = []
-    for z in raw:
-        if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
+    for lo, hi, kind in brackets:
+        s = _bisect(k, lo, hi)
+        if s == 0.0:
             continue
-        s = float(z.real)
-        for _ in range(60):  # Newton polish on the depressed residual
-            g = s * s * (s / beta + lam) - 0.5 * fn2
-            gp = 3.0 * s * s / beta + 2.0 * lam * s
-            if gp == 0.0:
-                break
-            step = g / gp
-            s -= step
-            if abs(step) <= 1e-16 * max(1.0, abs(s)):
-                break
-        roots.append(s)
-    roots = sorted(set(round(s, 14) for s in roots), reverse=True)
-    out = []
-    negatives = sorted([s for s in roots if s < 0.0])
-    for s in roots:
-        if s > 0.0:
-            kind = "global_min"
-        elif negatives and s == negatives[0]:
-            kind = "local_max"      # most negative branch
-        else:
-            kind = "local_min" if f.size == 1 else "negative_branch"
-        x = tuple(float(fi / s) for fi in f)
-        out.append(DualRoot(
+        x = f / s + 0.0  # + 0.0: the x of f = 0 is 0.0, not -0.0
+        roots.append(DualRoot(
             varsigma=s,
-            x=x,
-            potential=_dw_potential(beta, lam, f, x),
-            dual_potential=_dw_dual(beta, lam, f, s),
+            x=tuple(x.tolist()),
+            potential=float(0.5 * beta * (0.5 * np.dot(x, x) - lam) ** 2 - np.dot(x, f)),
+            dual_potential=-0.5 * fn * (fn / s) - 0.5 * s * s / beta - lam * s,
             kind=kind,
         ))
-    return TrialityResult(roots=tuple(out), symmetric=False)
+    r = math.sqrt(2.0 * lam)
+    return TrialityResult(roots=tuple(roots), symmetric=symmetric,
+                          perturbation_minimizers=(r, -r) if symmetric else ())

@@ -182,7 +182,8 @@ def _oc_update(x, dc, volfrac):
 def run_simp(model, volfrac, config=None):
     """Penalized continuous optimization with OC updates on sensitivities
     filtered within ``rmin`` (Andreassen et al. 2011), from the uniform
-    design ``volfrac``, on the driver's outer loop with strict solves.
+    design ``volfrac``, on the driver's outer loop, whose in-loop solves
+    log a residual above the bound and whose final solve raises on it.
 
     Returns (densities, Displacement, RunRecord).  Non-convergence within
     the iteration cap is reported through record.converged, not raised.
@@ -206,7 +207,7 @@ def run_simp(model, volfrac, config=None):
     # where the benchmark's tracer wraps it
     return outer_loop(model, "simp", np.full(model.mesh.n_elements, volfrac),
                       lambda model, x, u: element_energies(model, u), step,
-                      cfg.max_outer, penal=cfg.penal, strict=True)
+                      cfg.max_outer, penal=cfg.penal)
 
 
 def beso_select(w, v, budget, current):

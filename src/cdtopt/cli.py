@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .problems import PROBLEMS, build_cantilever2d
 
 __all__ = [
     "UsageError",
-    "CliInvocation",
     "parse_cli",
     "write_density_pgm",
     "write_runrecord_csv",
@@ -40,12 +38,6 @@ CSV_HEADER = "gamma,inner_iters,volume,compliance,strain_energy,P_u,P_dual,elaps
 
 class UsageError(Exception):
     """Bad flags or config values."""
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    subcommand: str
-    options: dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,8 +114,8 @@ def _read_config(path):
 
 
 def parse_cli(argv):
-    """Parse argv into a typed invocation; raises UsageError on bad input.
-    Value ranges are left to the configs, problem builders and Mesh."""
+    """Parse argv into (subcommand, options dict); raises UsageError on bad
+    input.  Value ranges are left to the configs, problem builders and Mesh."""
     parser = _Parser(prog="cdtopt", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     _add_run(sub)
@@ -159,7 +151,7 @@ def parse_cli(argv):
         unknown = [m for m in opts["methods"].split(",") if m not in METHODS]
         if unknown:
             raise UsageError(f"unknown method(s) {unknown}; choose from {list(METHODS)}")
-    return CliInvocation(subcommand=cmd, options=opts)
+    return cmd, opts
 
 
 def _out_dir(options):
@@ -305,16 +297,16 @@ def _cmd_probe(options):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        invocation = parse_cli(argv)
+        cmd, options = parse_cli(argv)
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if invocation.subcommand == "run":
-            return _cmd_run(invocation.options)
-        if invocation.subcommand == "demo":
-            return _cmd_demo(invocation.options)
-        return _cmd_probe(invocation.options)
+        if cmd == "run":
+            return _cmd_run(options)
+        if cmd == "demo":
+            return _cmd_demo(options)
+        return _cmd_probe(options)
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -197,8 +197,8 @@ class KnapsackInstance:
         ratios.flags.writeable = False
         equal = bool(v_min == v_max)
         budget = min(self.V_target, total)
-        if equal:
-            budget = affordable_count(v, budget) * float(v[0])
+        if equal:  # k * v[0] can round one ulp above the summed total
+            budget = min(affordable_count(v, budget) * float(v[0]), total)
         object.__setattr__(self, "total_volume", total)
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "ratios", ratios)

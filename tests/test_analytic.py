@@ -273,3 +273,33 @@ def test_double_well_symmetric_case():
     assert res.roots[0].x == (0.0,)
     assert abs(res.roots[0].potential - res.roots[0].dual_potential) <= 1e-12
     assert res.perturbation_minimizers == (2.0, -2.0)
+
+
+@pytest.mark.parametrize("f", [(5e-14,), (-5e-14,), (1e-15,), (1e-20,), (1e-100,), (1e-150,),
+                               (3e-14, 4e-14)])
+def test_double_well_small_load_minimizers_approach_the_ring(f):
+    # as f -> 0 the minimizers approach |x| = sqrt(2 lam) = 2 along +-f, at
+    # potential -+2|f|: no rounding grid may merge or move the roots
+    res = analytic.double_well_triality(1, 2, f)
+    other = "local_min" if len(f) == 1 else "negative_branch"
+    assert [r.kind for r in res.roots] == ["global_min", other, "local_max"]
+    assert not res.symmetric and res.perturbation_minimizers == ()
+    ring = 2.0 * np.asarray(f) / math.hypot(*f)
+    assert res.roots[0].x == pytest.approx(tuple(ring), rel=1e-12)
+    assert res.roots[1].x == pytest.approx(tuple(-ring), rel=1e-12)
+    for r in res.roots:
+        assert abs(r.potential - r.dual_potential) <= 1e-8 * max(1.0, abs(r.potential))
+
+
+@pytest.mark.parametrize("f", [(1e-160,), (1e-200,), (0.0,)])
+def test_double_well_vanishing_load_is_answered(f):
+    # pytest turns a numpy warning into an error; a load whose |f|^2
+    # underflows to 0 gets the symmetric answer
+    res = analytic.double_well_triality(1, 2, f)
+    if f[0] * f[0] == 0.0:
+        assert res.symmetric and res.perturbation_minimizers == (2.0, -2.0)
+        assert [(r.kind, r.varsigma) for r in res.roots] == [("local_max", -2.0)]
+    else:
+        assert not res.symmetric
+        assert res.roots[0].x[0] == pytest.approx(2.0, rel=1e-12)
+        assert res.roots[1].x[0] == pytest.approx(-2.0, rel=1e-12)

@@ -47,7 +47,7 @@ def test_simp_strain_energy_column_equals_compliance():
     assert rec.rows
     for r in rec.rows:
         assert abs(r.strain_energy - r.compliance) <= 1e-8 * r.compliance
-        assert 0.0 <= r.residual <= 1e-10   # SIMP's solves are strict
+        assert 0.0 <= r.residual <= 1e-10   # no SIMP step here misses the bound
 
 
 def test_simp_grayness_exceeds_cdt():

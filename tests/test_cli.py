@@ -19,11 +19,10 @@ from cdtopt.driver import IterationRecord, RunRecord
 # ---------------------------------------------------------------------------
 
 def test_parse_run_defaults_and_flags():
-    inv = cli.parse_cli(["run", "--problem", "mbb", "--nelx", "60", "--nely", "20",
-                         "--volfrac", "0.4", "--mu", "0.97", "--method", "cdt",
-                         "--out", "./out"])
-    assert inv.subcommand == "run"
-    o = inv.options
+    cmd, o = cli.parse_cli(["run", "--problem", "mbb", "--nelx", "60", "--nely", "20",
+                            "--volfrac", "0.4", "--mu", "0.97", "--method", "cdt",
+                            "--out", "./out"])
+    assert cmd == "run"
     assert (o["nelx"], o["nely"], o["volfrac"], o["mu"]) == (60, 20, 0.4, 0.97)
     assert o["E"] == 1.0 and o["nu"] == 0.3 and o["emin"] == 1e-9
     assert o["omega2"] == 1e-2
@@ -65,29 +64,29 @@ def test_parse_rejects_unknown_flag():
 
 
 def test_parse_demo_double_well():
-    inv = cli.parse_cli(["demo", "--name", "double-well", "--beta", "1",
-                         "--lambda", "2", "--f", "0.5"])
-    assert inv.subcommand == "demo"
-    assert inv.options["lam"] == 2.0 and inv.options["f"] == 0.5
+    cmd, options = cli.parse_cli(["demo", "--name", "double-well", "--beta", "1",
+                                  "--lambda", "2", "--f", "0.5"])
+    assert cmd == "demo"
+    assert options["lam"] == 2.0 and options["f"] == 0.5
 
 
 def test_config_file_seeds_defaults_and_flags_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("volfrac = 0.3\nnelx = 12  # comment\nmu = 0.92\n")
     for mu in ("0.95", "0.97"):  # 0.97 repeats the flag's default
-        inv = cli.parse_cli(["run", "--config", str(cfg), "--mu", mu])
-        assert inv.options["volfrac"] == 0.3
-        assert inv.options["nelx"] == 12
-        assert inv.options["mu"] == float(mu)  # explicit flag wins
+        _, options = cli.parse_cli(["run", "--config", str(cfg), "--mu", mu])
+        assert options["volfrac"] == 0.3
+        assert options["nelx"] == 12
+        assert options["mu"] == float(mu)  # explicit flag wins
 
 
 def test_config_file_seeds_demo_options(tmp_path):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text("epsilon = 0.1\nno-perturb = yes\n")
-    inv = cli.parse_cli(["demo", "--name", "buridan", "--config", str(cfg)])
-    assert inv.options["name"] == "buridan"
-    assert inv.options["epsilon"] == 0.1
-    assert inv.options["no_perturb"] is True
+    _, options = cli.parse_cli(["demo", "--name", "buridan", "--config", str(cfg)])
+    assert options["name"] == "buridan"
+    assert options["epsilon"] == 0.1
+    assert options["no_perturb"] is True
 
 
 @pytest.mark.parametrize("raw,value", [("ON", True), ("Yes", True), ("1", True),
@@ -95,7 +94,7 @@ def test_config_file_seeds_demo_options(tmp_path):
 def test_config_file_boolean_words(tmp_path, raw, value):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"ascii_pgm = {raw}\n")
-    assert cli.parse_cli(["run", "--config", str(cfg)]).options["ascii_pgm"] is value
+    assert cli.parse_cli(["run", "--config", str(cfg)])[1]["ascii_pgm"] is value
 
 
 @pytest.mark.parametrize("raw", ["maybe", "2", "", "truthy"])
@@ -122,14 +121,14 @@ def test_config_file_keys_are_flag_names(tmp_path):
     # underscores
     cfg = tmp_path / "demo.cfg"
     cfg.write_text("lambda = 3\n")
-    inv = cli.parse_cli(["demo", "--name", "double-well", "--config", str(cfg)])
-    assert inv.options["lam"] == 3.0
+    _, options = cli.parse_cli(["demo", "--name", "double-well", "--config", str(cfg)])
+    assert options["lam"] == 3.0
     cfg.write_text("lam = 3\n")
     with pytest.raises(cli.UsageError, match="lam"):
         cli.parse_cli(["demo", "--name", "double-well", "--config", str(cfg)])
     for key in ("max-outer", "max_outer"):
         cfg.write_text(f"{key} = 7\n")
-        assert cli.parse_cli(["run", "--config", str(cfg)]).options["max_outer"] == 7
+        assert cli.parse_cli(["run", "--config", str(cfg)])[1]["max_outer"] == 7
 
 
 @pytest.mark.parametrize("line", ["method = bogus", "problem = bogus", "nelx = 1.5"])
@@ -513,6 +512,12 @@ def test_main_demo_double_well(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "double_well_roots.csv").exists()
     assert "global_min" in capsys.readouterr().out
+
+
+def test_main_demo_double_well_small_load(tmp_path, capsys):
+    # a load near 0 has two roots near 0, neither of them 0
+    assert cli.main(["demo", "--name", "double-well", "--f=1e-15", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("varsigma +5e-16 x +2 potential -2e-15 [global_min]\n")
 
 
 def fresh_python(*args):

@@ -218,23 +218,22 @@ def test_each_method_keeps_its_whole_record(method, digest):
 
 
 def test_residual_policies_of_the_methods(monkeypatch, caplog):
-    # with a negative bound every solve misses it: SIMP's in-loop solves
-    # are strict, while CDT and BESO log each step and fail only at the
-    # final strict solve
+    # with a negative bound every solve misses it: all three methods log
+    # each step and fail only at the final strict solve
     monkeypatch.setattr(fem, "RESIDUAL_TOL", -1.0)
     factor, factors = fem.cholesky_banded, []
     monkeypatch.setattr(fem, "cholesky_banded", lambda *a, **kw: factors.append(1) or factor(*a, **kw))
     model = build_mbb(12, 4)
-    for method, solves, warned in (("simp", 1, []), ("cdt", 3, [1, 2]), ("beso", 3, [1, 2])):
+    for method in ("simp", "cdt", "beso"):
         factors.clear()
         caplog.clear()
         config = method_config(method, {"volfrac": 0.5, "mu": 0.95, "max_outer": 2})
         with caplog.at_level(logging.WARNING, logger="cdtopt.driver"), \
                 pytest.raises(fem.SolverBreakdown, match="exceeds -1"):
             run_method(method, model, 0.5, config)
-        assert len(factors) == solves, method   # one factor per solve
+        assert len(factors) == 3, method   # two steps and the final solve
         steps = [r.getMessage().split(":")[0] for r in caplog.records]
-        assert steps == [f"{method} step {gamma}" for gamma in warned]
+        assert steps == [f"{method} step 1", f"{method} step 2"]
 
 
 def test_cdt_3d_near_tie_mirror_pair_converges():

@@ -745,3 +745,19 @@ def test_budget_snapping():
     # unequal volumes pass through
     inst2 = make([1.0, 1.0], [0.3, 0.7], 0.5)
     assert inst2.budget == 0.5
+
+
+def test_snapped_budget_stays_within_the_total_volume():
+    # k * v[0] can round above sum(v): 200 volumes of 1/200 snap a budget
+    # of sum(v) to 1.0 against a total of 0.9999999999999998
+    overshoots = 0
+    for n in range(1, 2000):
+        v = np.full(n, 1.0 / n)
+        w = np.arange(1.0, n + 1.0)
+        total = float(v.sum())
+        overshoots += n * v[0] > total
+        for V in (total, 1.0):
+            inst = kp.KnapsackInstance(w, v, V)
+            assert inst.budget <= inst.total_volume, (n, V)
+            assert kp.solve(inst).certificate.budget <= total, (n, V)
+    assert overshoots == 697

@@ -61,7 +61,7 @@ def test_stream_solves_are_bit_identical(workloads):
     assert digest.hexdigest() == STREAM_SHA256
 
 
-OFF_STREAM_SHA256 = "8d50dca9bbdb8de3bfbd4bd13a880fc84a941bd00236c8f65210df0916a66c05"
+OFF_STREAM_SHA256 = "60ca6f8b489c5ca6420fb8543787fa92bce04d945242833e46d6c62a8f96d1c0"
 
 
 def unequal_volumes(rng, n, spread):
