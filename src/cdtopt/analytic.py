@@ -77,20 +77,28 @@ def symmetric_truss(a, b, epsilon, perturb=True):
     knapsack solver keep one.  Returns (BinaryDensity, potential), where
     the potential is evaluated for the nominal symmetric load at the
     selected group — the quantity that equals -1/2 (1/a + 1/b) for either
-    pick.
+    pick.  Values whose energies or potential overflow raise ValueError.
     """
     compliance = _penalized_compliance(a, b, 1.0)
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
-    u0 = np.array([1.0 + epsilon, 1.0]) / (a + b)  # both groups add to (a + b) I
-    w = np.array([
-        0.5 * (a * u0[0] ** 2 + b * u0[1] ** 2),
-        0.5 * (b * u0[0] ** 2 + a * u0[1] ** 2),
-    ])
+    with np.errstate(over="ignore"):
+        u0 = np.array([1.0 + epsilon, 1.0]) / (a + b)  # both groups add to (a + b) I
+        w = np.array([
+            0.5 * (a * u0[0] ** 2 + b * u0[1] ** 2),
+            0.5 * (b * u0[0] ** 2 + a * u0[1] ** 2),
+        ])
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"a = {a:g}, b = {b:g} and epsilon = {epsilon:g} overflow "
+                         "the group energies")
     instance = knapsack.KnapsackInstance(w=w, v=np.array([1.0, 1.0]), V_target=1.0)
     result = knapsack.solve(instance, params=knapsack.SolveParams(perturb=perturb))
     # at equilibrium the potential 1/2 u.K u - u.f is -1/2 f.u
-    return result.density, float(-compliance(*result.density.rho))
+    with np.errstate(over="ignore"):
+        potential = float(-compliance(*result.density.rho))
+    if not math.isfinite(potential):
+        raise ValueError(f"a = {a:g} and b = {b:g} overflow the potential")
+    return result.density, potential
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,8 @@ def double_well_triality(beta, lam, f):
     f = 0, has no primal mate and is dropped: for |f|^2 = 0 only the local
     maximum at -beta*lam is left, and the ring of minimizers |x| =
     sqrt(2 lam), which the minimizers approach as f -> 0, is reported
-    through ``perturbation_minimizers``.
+    through ``perturbation_minimizers``.  Values whose potential or dual
+    potential overflows at a root raise ValueError.
     """
     if not (0.0 < beta < math.inf and 0.0 < lam < math.inf):
         raise ValueError("beta and lam must be finite and positive")
@@ -264,14 +273,15 @@ def double_well_triality(beta, lam, f):
         s = _bisect(k, lo, hi)
         if s == 0.0:
             continue
-        x = f / s + 0.0  # + 0.0: the x of f = 0 is 0.0, not -0.0
-        roots.append(DualRoot(
-            varsigma=s,
-            x=tuple(x.tolist()),
-            potential=float(0.5 * beta * (0.5 * np.dot(x, x) - lam) ** 2 - np.dot(x, f)),
-            dual_potential=-0.5 * fn * (fn / s) - 0.5 * s * s / beta - lam * s,
-            kind=kind,
-        ))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = f / s + 0.0  # + 0.0: the x of f = 0 is 0.0, not -0.0
+            potential = float(0.5 * beta * (0.5 * np.dot(x, x) - lam) ** 2 - np.dot(x, f))
+        dual = -0.5 * fn * (fn / s) - 0.5 * s * s / beta - lam * s
+        if not (math.isfinite(potential) and math.isfinite(dual)):
+            raise ValueError(f"beta = {beta:g}, lam = {lam:g} and |f| = {fn:g} overflow "
+                             f"the potential or its dual at varsigma = {s:g}")
+        roots.append(DualRoot(varsigma=s, x=tuple(x.tolist()), potential=potential,
+                              dual_potential=dual, kind=kind))
     r = math.sqrt(2.0 * lam)
     return TrialityResult(roots=tuple(roots), symmetric=symmetric,
                           perturbation_minimizers=(r, -r) if symmetric else ())

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import knapsack
-from .driver import CdtConfig, check_volfrac, outer_loop, run_cdt, run_selection
+from .driver import CdtConfig, DriverError, check_volfrac, outer_loop, run_cdt, run_selection
 # assemble and solve_equilibrium stay bound only because the benchmark's
 # tracer wraps baselines.assemble and baselines.solve_equilibrium by name
 from .fem import assemble, element_energies, moduli, solve_equilibrium  # noqa: F401
@@ -168,7 +168,7 @@ def _oc_update(x, dc, volfrac):
     # the stop test's floor on l1 + l2 scales with b, as the multiplier
     # does, so that a small load bisects as far as a unit one; b = 0 keeps 1e-30
     tiny = 1e-30 * float(b.max()) or 1e-30
-    bisections = 0
+    bisections, lmid = 0, 0.5 * (l1 + l2)  # the midpoint of a bracket that is already closed
     while (l2 - l1) / (l1 + l2 + tiny) > 1e-9:
         bisections += 1
         lmid = 0.5 * (l1 + l2)
@@ -191,12 +191,18 @@ def run_simp(model, volfrac, config=None):
     cfg = config or SimpConfig()
     check_simp_volfrac(volfrac)
     E, E_min = model.material.E, model.material.E_min
-    H, Hs = _filter_matrix(model.mesh, cfg.rmin)
+    # an overflowing filter weight sum is reported with the sensitivities
+    with np.errstate(over="ignore"):
+        H, Hs = _filter_matrix(model.mesh, cfg.rmin)
 
     def step(w, v, x):
         ce = 2.0 * w / E                        # unit-modulus u_e.K_e u_e
-        dc = -cfg.penal * x ** (cfg.penal - 1.0) * (E - E_min) * ce
-        dc = (H @ (x * dc)) / Hs / np.maximum(X_MIN, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dc = -cfg.penal * x ** (cfg.penal - 1.0) * (E - E_min) * ce
+            dc = (H @ (x * dc)) / Hs / np.maximum(X_MIN, x)
+        if not np.all(np.isfinite(dc)):
+            raise DriverError(f"simp: the filtered sensitivities overflow at rmin = {cfg.rmin:g}, "
+                              f"penal = {cfg.penal:g}")
         xnew, bisections = _oc_update(x, dc, volfrac)
         E_x = moduli(model, x, cfg.penal)       # 1/2 u.K(x)u = E_x.w / E
         fields = dict(inner_iters=bisections, strain_energy=float(np.dot(E_x, w)) / E,

@@ -225,7 +225,7 @@ def _cmd_run(options):
                       ascii_format=options.get("ascii_pgm", False))
     write_runrecord_csv(record, os.path.join(out, f"{tag}_record.csv"))
     print(f"{tag}: {record.outer_iterations} outer iterations, "
-          f"volume {record.final_volume:.6g}, "
+          f"volume {record.rows[-1].volume:.6g}, "
           f"compliance {record.final_compliance:.6g}, "
           f"converged {record.converged}")
     return 0

@@ -108,7 +108,6 @@ class RunRecord:
     rows: list = field(default_factory=list)
     converged: bool = False
     final_compliance: float = math.nan
-    final_volume: float = math.nan
 
     @property
     def outer_iterations(self):
@@ -176,7 +175,6 @@ def outer_loop(model, method, rho, score, step, max_outer, penal=1.0):
             break
     u_final = solve_equilibrium(model, rho, penal)
     record.final_compliance = compliance(u_final, model.load)
-    record.final_volume = float(np.dot(v, rho))
     return rho, u_final, record
 
 

@@ -90,12 +90,8 @@ class Mesh:
         return int(np.prod(self.dims))
 
     @property
-    def n_nodes(self):
-        return int(np.prod([d + 1 for d in self.dims]))
-
-    @property
     def n_dofs(self):
-        return self.ndim * self.n_nodes
+        return self.ndim * int(np.prod([d + 1 for d in self.dims]))
 
     def element_volumes(self):
         n = self.n_elements
@@ -401,8 +397,9 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
     if fnorm == 0.0:
         return Displacement(u, 0.0)
     ke = model.ke
-    weights = (scale[:, None] * ke[layout.pairs][None, :]).ravel()
-    band = np.bincount(layout.band_index, weights, minlength=(width + 1) * n + 1)
+    # the element weights are a temporary of the call: they are freed before the factor
+    band = np.bincount(layout.band_index, (scale[:, None] * ke[layout.pairs][None, :]).ravel(),
+                       minlength=(width + 1) * n + 1)
     band = band[:-1].reshape((width + 1, n), order="F")
 
     def residual(x):

@@ -95,10 +95,6 @@ class KnapsackError(Exception):
 class DegenerateTheta(KnapsackError):
     """theta_e = 0: the per-element cubic has no positive root."""
 
-    def __init__(self, message, element=None):
-        super().__init__(message)
-        self.element = element
-
 
 class InvalidDual(KnapsackError):
     """A dual point violated sigma > 0."""
@@ -106,10 +102,6 @@ class InvalidDual(KnapsackError):
 
 class NotBinary(KnapsackError):
     """Recovered densities are too far from {0,1}; beta is too small."""
-
-    def __init__(self, message, max_deviation):
-        super().__init__(message)
-        self.max_deviation = max_deviation
 
 
 class NonFinite(KnapsackError):
@@ -119,17 +111,9 @@ class NonFinite(KnapsackError):
 class DegenerateInstance(KnapsackError):
     """The critical interval is empty and perturbation is disabled."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class Unsolved(KnapsackError):
     """The dual solve found no certified binary optimum."""
-
-    def __init__(self, message, diagnosis=None):
-        super().__init__(message)
-        self.diagnosis = diagnosis
 
 
 class TooLarge(KnapsackError):
@@ -247,7 +231,7 @@ class TauCritical:
     """Minimizer of the critical-multiplier objective, with its interval:
     the uniqueness report.  An open interval (``is_interval``) means a
     unique ratio-greedy optimum, an empty one (lo == hi == value) a tie at
-    the margin; :class:`DegenerateInstance` holds it as ``report``.
+    the margin, which :class:`DegenerateInstance` names by ``value``.
     ``value`` is the midpoint of a finite open interval; ``hi`` may be
     ``inf`` when every large multiplier is optimal (empty effective budget).
     """
@@ -279,7 +263,6 @@ class Certificate:
     gain: float                  # w.rho on the original gains
     dual_objective: float        # D_inf at the reported tau on the solved instance
     residual: float              # |-w.rho - D_inf| on the solved instance
-    budget: float                # the solved instance's enforceable budget
     perturbed: bool
     trivial: str | None = None
 
@@ -364,7 +347,7 @@ def sigma_from_theta(theta, beta):
     if np.any(small):
         e = int(np.flatnonzero(small)[0])
         raise DegenerateTheta(
-            f"theta[{e}] = 0 within {THETA_TOL:g}: no positive cubic root", element=e
+            f"theta[{e}] = 0 within {THETA_TOL:g}: no positive cubic root"
         )
     s = _positive_cubic_root(th_abs, beta if beta.ndim else float(beta))
     return float(s[0]) if scalar else s
@@ -428,9 +411,7 @@ def inner_fixed_point(instance, budget, beta, tau0=1.0):
             nudges += 1
             if nudges > 8:
                 e = int(np.flatnonzero(np.abs(theta) <= THETA_TOL)[0])
-                raise DegenerateTheta(
-                    f"tau is pinned on the breakpoint of element {e}", element=e
-                )
+                raise DegenerateTheta(f"tau is pinned on the breakpoint of element {e}")
             tau = tau + 1e-9 * max(1.0, tau)
             theta = tau * v - w
         sigma = _positive_cubic_root(np.abs(theta), b)
@@ -465,9 +446,7 @@ def recover_density(point, instance):
     rounded = np.where(raw >= 0.5, 1.0, 0.0)
     max_dev = float(np.max(np.abs(raw - rounded)))
     if max_dev > BINARY_TOL:
-        raise NotBinary(
-            f"raw density deviates {max_dev:.3e} from binary", max_deviation=max_dev
-        )
+        raise NotBinary(f"raw density deviates {max_dev:.3e} from binary")
     return BinaryDensity(rounded)
 
 
@@ -569,11 +548,11 @@ def _result(instance, work, rho, tau, trivial=None):
     """Solve result for ``rho`` at multiplier ``tau`` on the solved copy
     ``work``, certified by D_inf(tau) = -(tau V + sum max(0, w - tau v)),
     the penalty-free dual at sigma = |theta|, summed from (w, v, tau)."""
-    tau, budget = float(tau), work.budget
+    tau = float(tau)
     v = work.v[0] if work.equal_volumes else work.v  # the same tau * v_e each
     excess = work.w - tau * v
     np.maximum(excess, 0.0, out=excess)
-    dual = -(tau * budget + float(excess.sum()))
+    dual = -(tau * work.budget + float(excess.sum()))
     gain = float(np.dot(instance.w, rho))
     work_gain = gain if work is instance else float(np.dot(work.w, rho))
     residual = abs(-work_gain - dual)
@@ -583,7 +562,6 @@ def _result(instance, work, rho, tau, trivial=None):
         gain=gain,
         dual_objective=dual,
         residual=residual,
-        budget=budget,
         perturbed=work is not instance,
         trivial=trivial,
     )
@@ -619,14 +597,14 @@ def solve(instance, params=None):
         if not p.perturb:
             raise DegenerateInstance(
                 f"critical multiplier {tc.value:g} is the ratio of a tie at the "
-                "margin; multiple optima", report=tc
+                "margin; multiple optima"
             )
         work = perturb(instance, p.perturb_scale * (instance._w_max or 1.0))
         tc = tau_critical(work)
         if not tc.is_interval:
             raise Unsolved(
-                "instance remains degenerate after ramp perturbation "
-                "(the LP relaxation has a fractional optimum)", diagnosis=tc
+                f"critical multiplier {tc.value:g}: the instance remains degenerate after "
+                "ramp perturbation (the LP relaxation has a fractional optimum)"
             )
     # the kept set is read off the interval, not off the sign of theta: the
     # midpoint of a one-ulp interval can round onto an endpoint
@@ -635,8 +613,7 @@ def solve(instance, params=None):
     result = _result(instance, work, rho, tau)
     cert = result.certificate
     if not cert.residual <= GAP_RTOL * abs(cert.dual_objective):
-        raise Unsolved(f"certificate gap {cert.residual:.3e} at tau = {tau:g}",
-                       diagnosis=cert)
+        raise Unsolved(f"certificate gap {cert.residual:.3e} at tau = {tau:g}")
     return result
 
 

@@ -148,13 +148,13 @@ def test_criterion_7_mbb_desk_scale():
     rho = dens.rho
     binary = bool(np.all((rho == 0.0) | (rho == 1.0)))
     gray = int(np.sum((rho > 0.0) & (rho < 1.0)))
-    vol_ok = rec.final_volume <= 0.4 + 1.0 / n
+    vol_ok = rec.rows[-1].volume <= 0.4 + 1.0 / n
     res_ok = u.residual <= 1e-10
     c = rec.final_compliance
     ok = binary and gray == 0 and vol_ok and res_ok and np.isfinite(c)
     ok = ok and abs(c - MBB_COMPLIANCE_BASELINE) <= 1e-6 * MBB_COMPLIANCE_BASELINE
     report("criterion 7 MBB desk-scale run", time.perf_counter() - t0, 60.0, ok,
-           f"(compliance {c:.6f}, volume {rec.final_volume:.4f}, "
+           f"(compliance {c:.6f}, volume {rec.rows[-1].volume:.4f}, "
            f"{rec.outer_iterations} outer steps)")
 
 

@@ -36,7 +36,7 @@ def test_simp_gray_fraction_positive_and_volume_active():
     x, u, rec = run_simp(model, 0.5, SimpConfig())
     gray = np.sum((x > 0.01) & (x < 0.99))
     assert gray > 0
-    assert abs(rec.final_volume - 0.5) <= 1e-4
+    assert abs(rec.rows[-1].volume - 0.5) <= 1e-4
     assert np.all((x >= 1e-3) & (x <= 1.0))
 
 
@@ -71,7 +71,7 @@ def test_simp_meets_the_volume_target_at_a_large_load():
     # the OC multiplier of a 1e5 load lies past 1e9: the bracket must grow
     _, _, rec = run_simp(build_mbb(30, 10, load=1e5), 0.4)
     assert rec.converged
-    assert abs(rec.final_volume - 0.4) <= 1e-6
+    assert abs(rec.rows[-1].volume - 0.4) <= 1e-6
 
 
 def test_simp_design_does_not_depend_on_the_load_scale():

@@ -407,6 +407,28 @@ def test_main_run_load_that_overflows_is_a_solver_error_naming_it(tmp_path, caps
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [["--rmin", "1e305"], ["--rmin", "1e308"],
+                                   ["--penal", "1e308", "--volfrac", "1.0"]],
+                         ids=["rmin-1e305", "rmin-1e308", "penal-1e308"])
+def test_main_run_simp_sensitivities_that_overflow_are_a_solver_error(tmp_path, capsys, flags):
+    # the filter's weighted sums, or penal x^(penal - 1), overflow at step 1;
+    # numpy must not warn on the way there
+    options = dict(zip(flags[::2], flags[1::2]))
+    assert cli.main(["run", "--method", "simp", *flags, "--out", str(tmp_path)]) == 2
+    rmin, penal = float(options.get("--rmin", 1.5)), float(options.get("--penal", 3.0))
+    assert capsys.readouterr().err == ("solver error: simp: the filtered sensitivities overflow "
+                                       f"at rmin = {rmin:g}, penal = {penal:g}\n")
+
+
+def test_main_run_simp_at_a_huge_penalty_keeps_the_solid_design(tmp_path, capsys):
+    # the sensitivities are finite but near 1e300, so the OC bisection's
+    # stop test holds on the initial bracket, which it then returns
+    args = ["run", "--method", "simp", "--penal", "1e300", "--volfrac", "1.0"]
+    assert cli.main(args + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ("mbb_simp: 1 outer iterations, volume 1, "
+                                       "compliance 62.9389, converged True\n")
+
+
 @pytest.mark.parametrize("load", ["0", "1e-200"])
 @pytest.mark.parametrize("method", list(METHODS))
 def test_main_run_load_without_energy_is_a_solver_error_naming_it(tmp_path, capsys, method,
@@ -440,10 +462,19 @@ def test_main_run_load_without_energy_is_a_solver_error_naming_it(tmp_path, caps
     (["--name", "truss", "--epsilon", "nan"], "epsilon"),
     (["--name", "truss", "--epsilon", "inf"], "epsilon"),
     (["--name", "simp-surface", "--a", "1", "--b", "1", "--p", "1"], "flat"),
+    (["--name", "double-well", "--f", "1e300"], "|f| = 1e+300"),
+    (["--name", "double-well", "--beta", "1e200", "--lambda", "1e200"],
+     "beta = 1e+200, lam = 1e+200"),
+    (["--name", "double-well", "--beta", "1", "--lambda", "1e300"], "beta = 1, lam = 1e+300"),
+    (["--name", "double-well", "--beta", "1e300", "--lambda", "1"], "beta = 1e+300, lam = 1"),
+    (["--name", "truss", "--a", "1e-300", "--b", "1e-300"], "a = 1e-300, b = 1e-300"),
+    (["--name", "truss", "--a", "1e-310", "--b", "1"], "a = 1e-310 and b = 1"),
 ], ids=["resolution-0", "resolution-negative", "resolution-2", "resolution-nan", "p-nan",
         "surface-a-inf", "lambda-inf", "f-nan", "truss-a-inf", "p-negative", "p-0",
         "w-base-inf", "w-base-nan", "buridan-epsilon-nan", "buridan-epsilon-inf",
-        "truss-epsilon-nan", "truss-epsilon-inf", "surface-flat"])
+        "truss-epsilon-nan", "truss-epsilon-inf", "surface-flat", "double-well-f-overflows",
+        "double-well-beta-lam-overflows", "double-well-lam-overflows",
+        "double-well-beta-overflows", "truss-energies-overflow", "truss-potential-overflows"])
 def test_demo_bad_value_is_a_usage_error_naming_it(tmp_path, capsys, args, name):
     out = tmp_path / "out"
     assert cli.main(["demo", *args, "--out", str(out)]) == 1

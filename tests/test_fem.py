@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -526,6 +527,27 @@ def test_band_layout_built_once_per_model(monkeypatch):
     twin = build_mbb(16, 6)
     fem.solve_equilibrium(twin, np.ones(twin.n_elements))
     assert len(built) == 2 and built[1] is twin
+
+
+def test_element_weights_are_freed_before_the_factor(monkeypatch):
+    # the band is summed from n_el x 36 element weights; once it is built,
+    # the factor, the triangular solves and the residual need only the band
+    model = build_cantilever2d(60, 20)
+    rho = np.ones(model.n_elements)
+    fem.solve_equilibrium(model, rho)  # builds the band layout and ke
+    layout = model.band_layout
+    band_bytes = ((layout.width + 1) * layout.free.size + 1) * 8
+    weight_bytes = model.n_elements * layout.pairs[0].size * 8
+    factor, held = fem.cholesky_banded, []
+    monkeypatch.setattr(fem, "cholesky_banded", lambda *a, **kw:
+                        held.append(tracemalloc.get_traced_memory()[0]) or factor(*a, **kw))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fem.solve_equilibrium(model, rho)
+    finally:
+        tracemalloc.stop()
+    assert held[0] - before < band_bytes + weight_bytes / 2
 
 
 def test_dropped_model_frees_its_band_layout():

@@ -14,7 +14,10 @@ and budgets that admit every element or none.
 import collections
 import hashlib
 import importlib
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +54,7 @@ def test_stream_solves_are_bit_identical(workloads):
             cert = res.certificate
             digest.update(res.density.rho.tobytes())
             digest.update(struct.pack("<5d?", res.tau, cert.gain, cert.dual_objective,
-                                      cert.residual, cert.budget, cert.perturbed))
+                                      cert.residual, res.solved.budget, cert.perturbed))
             tau = res.tau
             solves += 1
             perturbed += cert.perturbed
@@ -59,6 +62,19 @@ def test_stream_solves_are_bit_identical(workloads):
     # exact margin ties are part of every chain: the ramp path is pinned too
     assert perturbed == 9
     assert digest.hexdigest() == STREAM_SHA256
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 20: the certificate's gain is an np.dot, which OpenBLAS threads above "
+    "10000 elements, so STREAM_SHA256 holds at the default thread count and not at one"))
+def test_stream_solves_are_bit_identical_at_one_blas_thread():
+    # the benchmark harness pins one BLAS thread; a fresh interpreter reads the pin
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_stream_solves_are_bit_identical"],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stdout[-2000:]
 
 
 OFF_STREAM_SHA256 = "60ca6f8b489c5ca6420fb8543787fa92bce04d945242833e46d6c62a8f96d1c0"
@@ -117,7 +133,7 @@ def test_off_stream_solves_are_bit_identical():
         cert = res.certificate
         digest.update(res.density.rho.tobytes())
         digest.update(struct.pack("<5d?", res.tau, cert.gain, cert.dual_objective,
-                                  cert.residual, cert.budget, cert.perturbed))
+                                  cert.residual, res.solved.budget, cert.perturbed))
         digest.update(str(cert.trivial).encode())
         outcomes[cert.trivial or ("perturbed" if cert.perturbed else "solved")] += 1
     # every path is taken: greedy, ramp-perturbed, fractional LP and both trivial budgets
