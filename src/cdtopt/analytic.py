@@ -158,7 +158,8 @@ def simp_counterexample(a, b, p=2.0, grid_resolution=1e-4):
     samples both endpoints as candidates, plus golden-section refinement.
     A scan minimum counts only when its basin is deeper than
     ``ROUNDING_RTOL`` times the largest sample, so rounding alone makes
-    none; a boundary that varies by less than that is flat and refused.
+    none; a boundary that varies by less than that is flat and refused, as
+    are values that overflow or underflow a sampled stiffness sum.
     """
     val = _penalized_compliance(a, b, p)
     # the corners sample 0 ** p, which divides by zero for p < 0
@@ -168,10 +169,16 @@ def simp_counterexample(a, b, p=2.0, grid_resolution=1e-4):
         raise ValueError("grid resolution must lie in (0, 0.5]")
     side = np.linspace(0.05, 1.0, 39)
     r1g, r2g = np.meshgrid(side, side, indexing="ij")
-    grid = np.column_stack([r1g.ravel(), r2g.ravel(),
-                            val(r1g, r2g).ravel()])
     t = np.append(np.arange(0.0, 1.0 - grid_resolution / 2, grid_resolution), 1.0)
-    g = val(t, 1.0 - t)
+    with np.errstate(all="ignore"):
+        grid = np.column_stack([r1g.ravel(), r2g.ravel(), val(r1g, r2g).ravel()])
+        g = val(t, 1.0 - t)
+    # every stiffness sum is at most a + b, its value at the sample (1, 1);
+    # one that underflows to 0 or is too small to invert makes a value inf
+    if not (math.isfinite(a + b) and np.isfinite(grid[:, 2]).all() and np.isfinite(g).all()):
+        raise ValueError(
+            f"a = {a}, b = {b} at p = {p} overflow or underflow a sampled stiffness "
+            "sum a r1^p + b r2^p, b r1^p + a r2^p or its reciprocal")
     tol = ROUNDING_RTOL * float(g.max())
     if not g.max() - g.min() > tol:
         raise ValueError(
@@ -275,7 +282,8 @@ def double_well_triality(beta, lam, f):
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             x = f / s + 0.0  # + 0.0: the x of f = 0 is 0.0, not -0.0
-            potential = float(0.5 * beta * (0.5 * np.dot(x, x) - lam) ** 2 - np.dot(x, f))
+            d = 0.5 * np.dot(x, x) - lam  # beta * d first: d * d can underflow
+            potential = float(0.5 * (beta * d) * d - np.dot(x, f))
         dual = -0.5 * fn * (fn / s) - 0.5 * s * s / beta - lam * s
         if not (math.isfinite(potential) and math.isfinite(dual)):
             raise ValueError(f"beta = {beta:g}, lam = {lam:g} and |f| = {fn:g} overflow "

@@ -298,16 +298,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cmd, options = parse_cli(argv)
-    except (UsageError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if cmd == "run":
-            return _cmd_run(options)
-        if cmd == "demo":
-            return _cmd_demo(options)
-        return _cmd_probe(options)
-    except (ValueError, OSError) as exc:
+        return {"run": _cmd_run, "demo": _cmd_demo, "probe": _cmd_probe}[cmd](options)
+    except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (knapsack.KnapsackError, FemError, DriverError) as exc:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,10 +191,11 @@ class StructuralModel:
 
         ``free[p]`` is the global dof at band position p.  ``pos`` maps each
         element dof to its band position, or to the spare slot ``free.size``
-        for a fixed dof.  ``band_index`` sends the upper-triangle entries
-        ``ke[pairs]`` of every element, by symmetry, into the flattened
-        column-major lower band of half-width ``width`` (entry (hi, lo) of
-        K_ff at ``ab[hi - lo, lo]``), or to a spare slot past its end.
+        for a fixed dof.  ``ke_band`` holds the upper-triangle entries of
+        ``ke``; ``band_index`` sends them, for every element and by symmetry,
+        into the flattened column-major lower band of half-width ``width``
+        (entry (hi, lo) of K_ff at ``ab[hi - lo, lo]``), or to a spare slot
+        past its end.
         LAPACK's ``dpbtrf`` factors the same matrix faster in lower storage
         than in upper: about 7-11 against 15-17 ms on ``cantilever`` 120x40
         (one BLAS thread; ROADMAP item 6 has the table).
@@ -221,10 +223,11 @@ class StructuralModel:
         both = hi < n
         width = int((hi - lo)[both].max(initial=0))
         band_index = np.where(both, hi - lo + (width + 1) * lo, (width + 1) * n)
-        for arr in (free, pos, a, b, band_index):
+        ke_band = self.ke[a, b]
+        for arr in (free, pos, band_index, ke_band):
             arr.flags.writeable = False
-        return SimpleNamespace(free=free, pos=pos, pairs=(a, b), band_index=band_index.ravel(),
-                               width=width)
+        return SimpleNamespace(free=free, pos=pos, band_index=band_index.ravel(),
+                               ke_band=ke_band, width=width)
 
 
 @dataclass(frozen=True)
@@ -263,13 +266,6 @@ def element_stiffness_2d(material):
     return k[idx] / (1.0 - nu * nu)
 
 
-def _h8_local_nodes():
-    # the element's corners at physical coordinates (i, 1 - j, k): bottom
-    # quad counterclockwise, then top quad
-    i, j, k = _CORNERS.T
-    return np.column_stack([i, 1 - j, k]).astype(float)
-
-
 def elasticity_matrix_3d(nu):
     """6x6 isotropic elasticity matrix at unit modulus (Voigt order
     xx, yy, zz, yz, xz, xy)."""
@@ -282,48 +278,41 @@ def elasticity_matrix_3d(nu):
     return D
 
 
+# the H8 corners at physical coordinates (i, 1 - j, k): bottom quad
+# counterclockwise, then the top quad
+_H8_NODES = np.column_stack([_CORNERS[:, 0], 1 - _CORNERS[:, 1], _CORNERS[:, 2]]).astype(float)
+# B[row, comp::3] of the H8 strain-displacement matrix holds the shape
+# functions' gradients along axis, for each (row, comp, axis) here; row is
+# in Voigt order xx, yy, zz, yz, xz, xy
+_H8_STRAIN = ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1),
+              (4, 0, 2), (4, 2, 0), (5, 0, 1), (5, 1, 0))
+
+
+def _h8_strain_displacement(point):
+    """6x24 strain-displacement matrix B of the unit H8 element at ``point``."""
+    # a shape function is a product of linear factors f, one per axis, of slopes g
+    p = np.asarray(point)
+    f = _H8_NODES * p + (1.0 - _H8_NODES) * (1.0 - p)
+    g = 2.0 * _H8_NODES - 1.0
+    dN = np.column_stack([g[:, 0] * f[:, 1] * f[:, 2], f[:, 0] * g[:, 1] * f[:, 2],
+                          f[:, 0] * f[:, 1] * g[:, 2]])
+    B = np.zeros((6, 24))
+    for row, comp, axis in _H8_STRAIN:
+        B[row, comp::3] = dN[:, axis]
+    return B
+
+
 def element_stiffness_3d(material):
     """24x24 stiffness of a unit H8 element at unit modulus.
 
     2x2x2 Gauss integration, exact for the trilinear brick; symmetric,
     PSD, rank 18.
     """
-    nu = material.nu
-    D = elasticity_matrix_3d(nu)
-    nodes = _h8_local_nodes()
+    D = elasticity_matrix_3d(material.nu)
     g = 0.5 + np.array([-1.0, 1.0]) / (2.0 * np.sqrt(3.0))
-    K = np.zeros((24, 24))
-    for gx in g:
-        for gy in g:
-            for gz in g:
-                dN = _h8_shape_gradients(gx, gy, gz, nodes)
-                B = np.zeros((6, 24))
-                B[0, 0::3] = dN[:, 0]
-                B[1, 1::3] = dN[:, 1]
-                B[2, 2::3] = dN[:, 2]
-                B[3, 1::3] = dN[:, 2]
-                B[3, 2::3] = dN[:, 1]
-                B[4, 0::3] = dN[:, 2]
-                B[4, 2::3] = dN[:, 0]
-                B[5, 0::3] = dN[:, 1]
-                B[5, 1::3] = dN[:, 0]
-                K += 0.125 * B.T @ D @ B
+    K = sum(0.125 * B.T @ D @ B
+            for B in map(_h8_strain_displacement, product(g, repeat=3)))
     return 0.5 * (K + K.T)
-
-
-def _h8_shape_gradients(x, y, z, nodes):
-    # trilinear shape-function gradients on the unit cube at point (x, y, z)
-    s = nodes
-    dN = np.empty((8, 3))
-    for a in range(8):
-        fx = s[a, 0] * x + (1.0 - s[a, 0]) * (1.0 - x)
-        fy = s[a, 1] * y + (1.0 - s[a, 1]) * (1.0 - y)
-        fz = s[a, 2] * z + (1.0 - s[a, 2]) * (1.0 - z)
-        gx = 2.0 * s[a, 0] - 1.0
-        gy = 2.0 * s[a, 1] - 1.0
-        gz = 2.0 * s[a, 2] - 1.0
-        dN[a] = [gx * fy * fz, fx * gy * fz, fx * fy * gz]
-    return dN
 
 
 def moduli(model, rho, penal):
@@ -398,7 +387,7 @@ def solve_equilibrium(model, rho, penal=1.0, strict=True):
         return Displacement(u, 0.0)
     ke = model.ke
     # the element weights are a temporary of the call: they are freed before the factor
-    band = np.bincount(layout.band_index, (scale[:, None] * ke[layout.pairs][None, :]).ravel(),
+    band = np.bincount(layout.band_index, (scale[:, None] * layout.ke_band).ravel(),
                        minlength=(width + 1) * n + 1)
     band = band[:-1].reshape((width + 1, n), order="F")
 

@@ -309,36 +309,21 @@ class BruteForceResult:
 # per-element cubic
 # ---------------------------------------------------------------------------
 
-def _positive_cubic_root(theta_abs, beta):
-    """Vectorized unique positive root of 2/beta s^3 + s^2 = theta^2.
+def sigma_from_theta(theta, beta):
+    """Unique sigma > 0 with 2/beta sigma^3 + sigma^2 = theta^2.
+
+    Accepts scalars or arrays (theta and beta broadcast).  Raises
+    ValueError unless every beta > 0, and :class:`DegenerateTheta` when any
+    |theta| <= 1e-14, where the cubic has no positive root and the caller
+    must perturb.
 
     f(s) = s^2 (1 + 2 s / beta) - theta^2 is increasing and convex on s > 0,
     so Newton from any upper bound of the root converges monotonically.
     Both |theta| and (beta theta^2 / 2)^(1/3) are upper bounds; their
     minimum is tight in the respective small- and large-theta regimes.
     """
-    t2 = theta_abs * theta_abs
-    s = np.minimum(theta_abs, np.cbrt(0.5 * beta * t2))
-    inv_b = 2.0 / beta
-    for _ in range(80):
-        f = s * s * (1.0 + inv_b * s) - t2
-        fp = s * (2.0 + 3.0 * inv_b * s)
-        step = f / fp
-        s = s - step
-        if np.all(np.abs(step) <= 4.5e-16 * s):
-            break
-    return s
-
-
-def sigma_from_theta(theta, beta):
-    """Unique sigma > 0 with 2/beta sigma^3 + sigma^2 = theta^2.
-
-    Accepts scalars or arrays (theta and beta broadcast).  Raises
-    :class:`DegenerateTheta` when any |theta| <= 1e-14, where the cubic has
-    no positive root and the caller must perturb.
-    """
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta <= 0.0):
+    if not np.all(beta > 0.0):  # nan fails too
         raise ValueError("beta must be positive")
     th = np.asarray(theta, dtype=float)
     scalar = th.ndim == 0 and beta.ndim == 0
@@ -349,7 +334,16 @@ def sigma_from_theta(theta, beta):
         raise DegenerateTheta(
             f"theta[{e}] = 0 within {THETA_TOL:g}: no positive cubic root"
         )
-    s = _positive_cubic_root(th_abs, beta if beta.ndim else float(beta))
+    t2 = th_abs * th_abs
+    s = np.minimum(th_abs, np.cbrt(0.5 * beta * t2))
+    inv_b = 2.0 / beta
+    for _ in range(80):
+        f = s * s * (1.0 + inv_b * s) - t2
+        fp = s * (2.0 + 3.0 * inv_b * s)
+        step = f / fp
+        s = s - step
+        if np.all(np.abs(step) <= 4.5e-16 * s):
+            break
     return float(s[0]) if scalar else s
 
 
@@ -392,9 +386,11 @@ def inner_fixed_point(instance, budget, beta, tau0=1.0):
     Exact theta_e = 0 hits along the way are escaped by a deterministic
     upward nudge of tau; a persistent hit (symmetric tie pulling tau back
     onto a breakpoint) raises :class:`DegenerateTheta` with the element.
+    A beta that is not > 0, or a tau0 that is not finite and >= 0, raises
+    ValueError.
     """
-    if tau0 < 0.0:
-        raise ValueError("tau0 must be nonnegative")
+    if not 0.0 <= tau0 < math.inf:
+        raise ValueError("tau0 must be finite and nonnegative")
     v, w = instance.v, instance.w
     V = float(budget)
     b = float(beta)
@@ -414,7 +410,7 @@ def inner_fixed_point(instance, budget, beta, tau0=1.0):
                 raise DegenerateTheta(f"tau is pinned on the breakpoint of element {e}")
             tau = tau + 1e-9 * max(1.0, tau)
             theta = tau * v - w
-        sigma = _positive_cubic_root(np.abs(theta), b)
+        sigma = sigma_from_theta(theta, b)
         tau = tau_update(sigma, instance, V)
         point = DualPoint(sigma, tau)
         obj = dual_objective_beta(point, instance, V, b)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,16 @@ def test_counterexample_rejects_bad_values(kwargs, name):
     args = {"a": A, "b": B, **kwargs}
     with pytest.raises(ValueError, match=name):
         analytic.simp_counterexample(**args)
+
+
+@pytest.mark.parametrize("a,b,p", [(1e-310, 2e-310, 2.0), (1e308, 1e308, 0.5),
+                                   (5e-324, 1e-323, 1.0)],
+                         ids=["reciprocal-overflows", "sum-overflows", "sum-underflows"])
+def test_counterexample_refuses_stiffness_sums_outside_the_finite_positive_floats(a, b, p):
+    # no sample may be read off an inf or 0 sum or an inf compliance, and
+    # numpy must not warn on the way there
+    with pytest.raises(ValueError, match=re.escape(f"a = {a}, b = {b} at p = {p} overflow")):
+        analytic.simp_counterexample(a, b, p)
 
 
 @pytest.mark.parametrize("kwargs,minima", [
@@ -303,3 +314,12 @@ def test_double_well_vanishing_load_is_answered(f):
         assert not res.symmetric
         assert res.roots[0].x[0] == pytest.approx(2.0, rel=1e-12)
         assert res.roots[1].x[0] == pytest.approx(-2.0, rel=1e-12)
+
+
+def test_double_well_potential_survives_a_squared_well_depth_that_underflows():
+    # at beta = 1e300, lam = 1e-300 the well depth 1/2 x^2 - lam is 5e-201,
+    # whose square underflows; triality still equates the two potentials
+    root = analytic.double_well_triality(1e300, 1e-300, (0.5,)).roots[0]
+    assert root.kind == "global_min"
+    assert root.potential == pytest.approx(root.dual_potential, rel=1e-12, abs=0.0)
+    assert root.potential == pytest.approx(-3.75e-101, rel=1e-12, abs=0.0)

@@ -80,6 +80,22 @@ def test_config_file_seeds_defaults_and_flags_override(tmp_path):
         assert options["mu"] == float(mu)  # explicit flag wins
 
 
+def test_config_file_skips_blank_and_comment_only_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a study\n\n   \n  # indented note\nnelx = 12\n")
+    assert cli.parse_cli(["run", "--config", str(cfg)])[1]["nelx"] == 12
+
+
+def test_config_line_without_equals_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nelx 12\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: config line not of the form key = value: 'nelx 12'\n")
+    assert not out.exists()
+
+
 def test_config_file_seeds_demo_options(tmp_path):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text("epsilon = 0.1\nno-perturb = yes\n")
@@ -392,6 +408,21 @@ def test_main_unusable_out_is_a_usage_error_before_any_solve(
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("args,blocked", [
+    (["run", "--nelx", "12", "--nely", "4", "--max-outer", "2"], "mbb_cdt_density.pgm"),
+    (["run", "--nelx", "12", "--nely", "4", "--max-outer", "2"], "mbb_cdt_record.csv"),
+    (["demo", "--name", "simp-surface"], "simp_surface.csv"),
+], ids=["run-graymap", "run-record", "demo-surface"])
+def test_an_output_file_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, args, blocked):
+    # a directory stands where the file would go
+    (tmp_path / blocked).mkdir()
+    assert cli.main(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    kind = "graymap " if blocked.endswith(".pgm") else ""
+    assert err.startswith(f"usage error: cannot write {kind}{tmp_path / blocked}: ")
+    assert err.count("\n") == 1
+
+
 def test_main_solver_error_exit_code(tmp_path):
     assert cli.main(["demo", "--name", "truss", "--epsilon", "0",
                      "--no-perturb", "--out", str(tmp_path)]) == 2
@@ -480,6 +511,21 @@ def test_demo_bad_value_is_a_usage_error_naming_it(tmp_path, capsys, args, name)
     assert cli.main(["demo", *args, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and name in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a,b,p", [("1e-310", "2e-310", "2"), ("1e308", "1e308", "0.5")],
+                         ids=["reciprocal-overflows", "sum-overflows"])
+def test_demo_surface_whose_stiffness_sums_leave_the_floats_is_a_usage_error(
+        tmp_path, capsys, a, b, p):
+    # neither a numpy warning nor a "flat" boundary or a minimum read off inf sums
+    out = tmp_path / "out"
+    args = ["demo", "--name", "simp-surface", "--a", a, "--b", b, "--p", p, "--out", str(out)]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: a = {float(a)}, b = {float(b)} at p = {float(p)} "
+                          "overflow or underflow a sampled stiffness sum")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import tracemalloc
 import weakref
@@ -124,19 +125,29 @@ def test_h8_quadrature_order_invariance():
     for gx, wx in zip(pts, wts):
         for gy, wy in zip(pts, wts):
             for gz, wz in zip(pts, wts):
-                dN = fem._h8_shape_gradients(gx, gy, gz, H8_NODES)
-                B = np.zeros((6, 24))
-                B[0, 0::3] = dN[:, 0]
-                B[1, 1::3] = dN[:, 1]
-                B[2, 2::3] = dN[:, 2]
-                B[3, 1::3] = dN[:, 2]
-                B[3, 2::3] = dN[:, 1]
-                B[4, 0::3] = dN[:, 2]
-                B[4, 2::3] = dN[:, 0]
-                B[5, 0::3] = dN[:, 1]
-                B[5, 1::3] = dN[:, 0]
+                B = fem._h8_strain_displacement((gx, gy, gz))
                 K += wx * wy * wz * B.T @ D @ B
     assert np.abs(K - k2).max() < 1e-13
+
+
+# SHA-256 of the element matrices' bytes, the 2-D closed form and the 3-D
+# Gauss sum: a rewrite of either that moves a bit shows here
+ELEMENT_DIGESTS = {
+    0.0: ("60ddaab11775b1e5590ce776c19529a9e6ccd07b02411cf7c58ada66569b80f2",
+          "0cbb22741829914b1c43ecbc9277eefdb2c7d3d2b1f24e60f16503a7c706f1cf"),
+    0.3: ("4469cc4839419df4df4cb9ab16f3cd2bef673e640684404f911be270a4701e3f",
+          "8118f583d0ecd22030f57b7d5b41490719e8757fa7c8355db1584955ccab1491"),
+    0.49: ("e407492ff7dbfc1c46835a49b55de6a93f90caafae5212ae62e592193473120c",
+           "80b11f9542ef231475c9e61a85f5e9ac8902e48421e9dabc63b9cc3e85d344ef"),
+}
+
+
+@pytest.mark.parametrize("nu", list(ELEMENT_DIGESTS))
+def test_element_matrices_are_pinned(nu):
+    material = fem.Material(nu=nu)
+    assert tuple(hashlib.sha256(build(material).tobytes()).hexdigest()
+                 for build in (fem.element_stiffness_2d, fem.element_stiffness_3d)
+                 ) == ELEMENT_DIGESTS[nu]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +548,7 @@ def test_element_weights_are_freed_before_the_factor(monkeypatch):
     fem.solve_equilibrium(model, rho)  # builds the band layout and ke
     layout = model.band_layout
     band_bytes = ((layout.width + 1) * layout.free.size + 1) * 8
-    weight_bytes = model.n_elements * layout.pairs[0].size * 8
+    weight_bytes = model.n_elements * layout.ke_band.size * 8
     factor, held = fem.cholesky_banded, []
     monkeypatch.setattr(fem, "cholesky_banded", lambda *a, **kw:
                         held.append(tracemalloc.get_traced_memory()[0]) or factor(*a, **kw))
@@ -718,3 +729,17 @@ def test_model_validation():
     bad[0] = 1.0
     with pytest.raises(ValueError):
         fem.StructuralModel(mesh, fem.Material(), np.array([0]), bad)
+
+
+@pytest.mark.parametrize("fixed,value,message", [
+    (-1, 0.0, "fixed dof index out of range"),
+    (18, 0.0, "fixed dof index out of range"),  # a 2x2 mesh has dofs 0..17
+    (0, math.nan, "load must be a finite vector over all dofs"),
+    (0, math.inf, "load must be a finite vector over all dofs"),
+], ids=["fixed-negative", "fixed-past-the-end", "load-nan", "load-inf"])
+def test_model_rejects_out_of_range_supports_and_non_finite_loads(fixed, value, message):
+    mesh = fem.Mesh((2, 2))
+    load = np.zeros(mesh.n_dofs)
+    load[5] = value
+    with pytest.raises(ValueError, match=message):
+        fem.StructuralModel(mesh, fem.Material(), np.array([fixed]), load)

@@ -51,6 +51,13 @@ def test_cubic_degenerate_theta():
         kp.sigma_from_theta(5e-15, 1.0)
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, [1.0, 0.0], [1.0, math.nan]],
+                         ids=["zero", "negative", "nan", "array-zero", "array-nan"])
+def test_cubic_rejects_a_beta_that_is_not_positive(beta):
+    with pytest.raises(ValueError, match="beta must be positive"):
+        kp.sigma_from_theta(1.0, beta)
+
+
 def test_cubic_residual_property():
     rng = np.random.default_rng(0)
     theta = 10.0 ** rng.uniform(-6, 3, 10000)
@@ -117,6 +124,13 @@ def test_dual_objective_beta_monotone_in_beta():
     pt = kp.DualPoint(np.array([0.7, 1.3]), 0.4)
     assert kp.dual_objective_beta(pt, inst, 0.5, 10.0) >= \
         kp.dual_objective_beta(pt, inst, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_dual_objective_beta_rejects_a_beta_that_is_not_positive(beta):
+    inst = make([1.0], [1.0], 0.5)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        kp.dual_objective_beta(kp.DualPoint(np.array([1.0]), 0.0), inst, 0.5, beta)
 
 
 def test_dual_objective_values():
@@ -203,6 +217,21 @@ def test_inner_fixed_point_validates_inputs():
     inst = make([1.0], [1.0], 1.0)
     with pytest.raises(ValueError):
         kp.inner_fixed_point(inst, 1.0, 100.0, tau0=-1.0)
+
+
+@pytest.mark.parametrize("beta,tau0,message", [
+    (0.0, 1.0, "beta must be positive"),
+    (-1.0, 1.0, "beta must be positive"),
+    (math.nan, 1.0, "beta must be positive"),
+    (100.0, math.nan, "tau0 must be finite and nonnegative"),
+    (100.0, math.inf, "tau0 must be finite and nonnegative"),
+], ids=["beta-zero", "beta-negative", "beta-nan", "tau0-nan", "tau0-inf"])
+def test_inner_fixed_point_rejects_a_beta_or_tau0_it_cannot_use(beta, tau0, message):
+    # a ValueError naming the input, not a division by zero, an InvalidDual
+    # about sigma or a numpy warning further on
+    inst = make([3.0, 1.0, 2.0], np.full(3, 1 / 3), 0.5)
+    with pytest.raises(ValueError, match=message):
+        kp.inner_fixed_point(inst, inst.budget, beta, tau0=tau0)
 
 
 def test_recover_density_direct_values():
