@@ -101,7 +101,7 @@ def symmetric_truss(a, b, epsilon, perturb=True):
     return result.density, potential
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CounterexampleResult:
     """Sampled penalized-compliance surface and its boundary minima."""
 

@@ -46,8 +46,8 @@ X_MIN = 1e-3
 class SimpConfig:
     penal: float = 3.0
     rmin: float = 1.5      # sensitivity-filter radius; 1 filters nothing, up to a rounding
-    omega2: float = 1e-2
-    max_outer: int = 2000
+    omega2: float = CdtConfig.omega2    # one flag sets both methods' stop and cap
+    max_outer: int = CdtConfig.max_outer
 
     def __post_init__(self):
         if not 1.0 <= self.penal < math.inf:

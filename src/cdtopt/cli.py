@@ -19,10 +19,10 @@ import time
 import numpy as np
 
 from . import analytic, knapsack
-from .baselines import METHODS, method_config, run_method
-from .driver import DriverError
+from .baselines import METHODS, SimpConfig, method_config, run_method
+from .driver import CdtConfig, DriverError, check_selection_volfrac
 from .fem import FemError, Material
-from .problems import PROBLEMS, build_cantilever2d
+from .problems import PROBLEMS, UNIT_LOAD, build_cantilever2d
 
 __all__ = [
     "UsageError",
@@ -52,16 +52,16 @@ def _add_run(sub):
     p.add_argument("--nely", type=int, default=20)
     p.add_argument("--nelz", type=int, default=4)
     p.add_argument("--volfrac", type=float, default=0.4)
-    p.add_argument("--mu", type=float, default=0.97)
+    p.add_argument("--mu", type=float, default=CdtConfig.mu)
     p.add_argument("--method", choices=tuple(METHODS), default="cdt")
-    p.add_argument("--E", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=0.3)
-    p.add_argument("--emin", type=float, default=1e-9)
-    p.add_argument("--omega2", type=float, default=1e-2)
-    p.add_argument("--penal", type=float, default=3.0)
-    p.add_argument("--rmin", type=float, default=1.5)
-    p.add_argument("--max-outer", type=int, default=2000)
-    p.add_argument("--load", type=float, default=1.0)
+    p.add_argument("--E", type=float, default=Material.E)
+    p.add_argument("--nu", type=float, default=Material.nu)
+    p.add_argument("--emin", type=float, default=Material.E_min)
+    p.add_argument("--omega2", type=float, default=CdtConfig.omega2)
+    p.add_argument("--penal", type=float, default=SimpConfig.penal)
+    p.add_argument("--rmin", type=float, default=SimpConfig.rmin)
+    p.add_argument("--max-outer", type=int, default=CdtConfig.max_outer)
+    p.add_argument("--load", type=float, default=UNIT_LOAD)
     p.add_argument("--ascii-pgm", action="store_true",
                    help="write plain-text P2 graymaps instead of binary P5")
     p.add_argument("--out", default=None)
@@ -92,7 +92,7 @@ def _add_probe(sub):
     p.add_argument("--sizes", default="20x8,40x16,60x24,80x30",
                    help="comma-separated nelx x nely pairs, e.g. 20x8,40x16")
     p.add_argument("--volfrac", type=float, default=0.5)
-    p.add_argument("--mu", type=float, default=0.97)
+    p.add_argument("--mu", type=float, default=CdtConfig.mu)
     p.add_argument("--methods", default="cdt,beso",
                    help=f"comma-separated, from {', '.join(METHODS)}")
     p.add_argument("--out", default=None)
@@ -205,9 +205,8 @@ def _write_csv(path, header, rows):
 
 def write_runrecord_csv(record, path):
     """One row per outer iteration (see :data:`CSV_HEADER`)."""
-    return _write_csv(path, CSV_HEADER.split(","), (
-        [r.gamma, r.inner_iters, r.volume, r.compliance, r.strain_energy, r.P_u,
-         r.P_dual, r.elapsed_ms] for r in record.rows))
+    columns = CSV_HEADER.split(",")
+    return _write_csv(path, columns, ([getattr(r, c) for c in columns] for r in record.rows))
 
 
 def _cmd_run(options):
@@ -218,11 +217,13 @@ def _cmd_run(options):
     model = PROBLEMS[options["problem"]](*dims, load=options["load"], material=material)
     method = options["method"]
     config = method_config(method, options)
+    if isinstance(config, CdtConfig):
+        check_selection_volfrac(model, config.volfrac)
     out = _out_dir(options)
     rho, record = run_method(method, model, options["volfrac"], config)
     tag = f"{options['problem']}_{method}"
     write_density_pgm(rho, model.mesh, os.path.join(out, f"{tag}_density.pgm"),
-                      ascii_format=options.get("ascii_pgm", False))
+                      ascii_format=options["ascii_pgm"])
     write_runrecord_csv(record, os.path.join(out, f"{tag}_record.csv"))
     print(f"{tag}: {record.outer_iterations} outer iterations, "
           f"volume {record.rows[-1].volume:.6g}, "
@@ -233,7 +234,7 @@ def _cmd_run(options):
 
 def _cmd_demo(options):
     name = options["name"]
-    perturb = not options.get("no_perturb", False)
+    perturb = not options["no_perturb"]
     if name == "buridan":
         tc, density = analytic.buridan(options["w_base"], options["epsilon"],
                                        perturb=perturb)
@@ -273,6 +274,9 @@ def _cmd_probe(options):
             raise ValueError(f"mesh size {token!r} is not of the form NELXxNELY") from None
         models.append(build_cantilever2d(nelx, nely))
     configs = [(m, method_config(m, options)) for m in options["methods"].split(",")]
+    if any(isinstance(config, CdtConfig) for _, config in configs):
+        for model in models:
+            check_selection_volfrac(model, options["volfrac"])
     out = _out_dir(options)
     rows = []
     try:

@@ -25,6 +25,7 @@ from .fem import compliance, element_energies, moduli, solve_equilibrium
 __all__ = [
     "DriverError",
     "check_volfrac",
+    "check_selection_volfrac",
     "check_energies",
     "CdtConfig",
     "IterationRecord",
@@ -49,6 +50,15 @@ def check_volfrac(volfrac):
         raise ValueError("volfrac must lie in (0, 1]")
 
 
+def check_selection_volfrac(model, volfrac):
+    """CDT's and BESO's volume-fraction rule on ``model``: raise unless the
+    budget affords at least one whole element (exactly 1/n does)."""
+    v = model.mesh.element_volumes()
+    if knapsack.affordable_count(v, volfrac) == 0:
+        raise ValueError(f"volfrac {volfrac:g} affords no element of {v.size}: CDT and BESO "
+                         f"keep whole elements, so volfrac must be >= 1/{v.size}")
+
+
 def check_energies(w, method, step):
     """Raise DriverError, naming the load, unless every element energy is
     finite and some element's is positive."""
@@ -65,7 +75,7 @@ class CdtConfig:
     """Outer-loop parameters of CDT and BESO (volume fraction, schedule, stop)."""
 
     volfrac: float
-    mu: float
+    mu: float = 0.97
     omega2: float = 1e-2
     max_outer: int = 2000
 
@@ -183,7 +193,9 @@ def run_selection(model, config, method, select):
     keeps the layout and record fields of ``select(w, v, V_g, rho)`` at the
     next budget V_g, and the run has converged once V_g is at the volume
     fraction and P_u moved by at most ``omega2``.  Returns (BinaryDensity,
-    final Displacement, RunRecord)."""
+    final Displacement, RunRecord); raises ValueError before any solve when
+    the volume fraction affords no element (:func:`check_selection_volfrac`)."""
+    check_selection_volfrac(model, config.volfrac)
     V_g, P_prev = 1.0, None  # V0 = 1 by construction
 
     def step(w, v, rho):

@@ -147,7 +147,7 @@ class Material:
             raise ValueError("need 0 <= nu < 0.5")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuralModel:
     """Mesh, material, supports and loads of one boundary-value problem."""
 
@@ -230,7 +230,7 @@ class StructuralModel:
                                ke_band=ke_band, width=width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Displacement:
     """Nodal displacement vector, zero at fixed dofs."""
 

@@ -126,7 +126,7 @@ def _readonly(a):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnapsackInstance:
     """Gains ``w``, volumes ``v`` and budget ``V_target`` of one instance.
 
@@ -143,12 +143,12 @@ class KnapsackInstance:
     w: np.ndarray
     v: np.ndarray
     V_target: float
-    total_volume: float = field(init=False, repr=False, compare=False)
-    budget: float = field(init=False, repr=False, compare=False)
-    ratios: np.ndarray = field(init=False, repr=False, compare=False)
-    equal_volumes: bool = field(init=False, repr=False, compare=False)
-    _w_max: float = field(init=False, repr=False, compare=False)
-    _v_min: float = field(init=False, repr=False, compare=False)
+    total_volume: float = field(init=False, repr=False)
+    budget: float = field(init=False, repr=False)
+    ratios: np.ndarray = field(init=False, repr=False)
+    equal_volumes: bool = field(init=False, repr=False)
+    _w_max: float = field(init=False, repr=False)
+    _v_min: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", _readonly(self.w))
@@ -195,7 +195,7 @@ class KnapsackInstance:
         return self.w.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPoint:
     """Per-element duals ``sigma`` and the volume multiplier ``tau``."""
 
@@ -211,7 +211,7 @@ class DualPoint:
             raise InvalidDual("tau must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryDensity:
     """A {0,1} design vector."""
 
@@ -245,7 +245,7 @@ class TauCritical:
         return self.hi > self.lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerResult:
     """Outcome of the alternating dual iteration."""
 
@@ -278,7 +278,7 @@ class SolveParams:
     perturb_scale: float = field(default=1e-8, init=False)  # relative to max(w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Selection, reported multiplier and certificate of one solve.
 
@@ -289,7 +289,7 @@ class SolveResult:
     density: BinaryDensity
     tau: float
     certificate: Certificate
-    solved: KnapsackInstance = field(repr=False, compare=False)
+    solved: KnapsackInstance = field(repr=False)
 
     @property
     def point(self):
@@ -384,8 +384,10 @@ def inner_fixed_point(instance, budget, beta, tau0=1.0):
     Stops when the penalized dual value changes by at most :data:`OMEGA1`,
     or stalls after :data:`MAX_INNER` iterations.
     Exact theta_e = 0 hits along the way are escaped by a deterministic
-    upward nudge of tau; a persistent hit (symmetric tie pulling tau back
-    onto a breakpoint) raises :class:`DegenerateTheta` with the element.
+    upward nudge of tau.  A persistent hit raises :class:`DegenerateTheta`
+    with the element: when unequal volumes put the budget inside one
+    element, the LP optimum is fractional in it, :func:`tau_critical` is a
+    kink at its ratio and tau converges back onto that breakpoint.
     A beta that is not > 0, or a tau0 that is not finite and >= 0, raises
     ValueError.
     """

@@ -18,8 +18,10 @@ __all__ = [
     "PROBLEMS",
 ]
 
+UNIT_LOAD = 1.0  # magnitude of every builder's default load, and of `cdtopt run --load`
 
-def build_mbb(nelx, nely, load=1.0, material=None):
+
+def build_mbb(nelx, nely, load=UNIT_LOAD, material=None):
     """Half MBB beam: unit downward point load at the top-left node,
     symmetry rollers (x fixed) on the left edge, vertical support at the
     bottom-right corner node."""
@@ -33,7 +35,7 @@ def build_mbb(nelx, nely, load=1.0, material=None):
     return StructuralModel(mesh, material or Material(), fixed, f)
 
 
-def build_cantilever2d(nelx, nely, load=1.0, material=None):
+def build_cantilever2d(nelx, nely, load=UNIT_LOAD, material=None):
     """Long cantilever: left edge fully clamped, unit downward load at the
     bottom-right corner node."""
     mesh = Mesh((nelx, nely))
@@ -44,7 +46,7 @@ def build_cantilever2d(nelx, nely, load=1.0, material=None):
     return StructuralModel(mesh, material or Material(), fixed, f)
 
 
-def build_cantilever3d(nelx, nely, nelz, load=1.0, material=None):
+def build_cantilever3d(nelx, nely, nelz, load=UNIT_LOAD, material=None):
     """3-D cantilever: the x = 0 face fully clamped; a line load of unit
     total magnitude spread along the lower free edge (nodes with i = nelx,
     j = nely, all k), acting in -y."""

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from cdtopt import baselines, cli, driver, fem
 from cdtopt.baselines import METHODS
 from cdtopt.driver import IterationRecord, RunRecord
+from cdtopt.problems import PROBLEMS
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +384,46 @@ def test_main_usage_error_runs_nothing_and_creates_no_directory(
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and name in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--problem", "cantilever", "--nelx", "1", "--nely", "1"],
+    ["run", "--method", "beso", "--nelx", "8", "--nely", "4", "--volfrac", "0.03",
+     "--mu", "0.5"],
+    ["probe", "--sizes", "8x4,1x1"],
+], ids=["run-cdt-1x1", "run-beso-8x4", "probe-second-size"])
+def test_a_volfrac_that_affords_no_element_is_a_usage_error(tmp_path, monkeypatch, capsys, args):
+    # CDT and BESO keep whole elements; the first case used to print
+    # "volume 0, compliance 2.64567e+09, converged True" and exit 0
+    for module in (driver, baselines):
+        monkeypatch.setattr(module, "solve_equilibrium",
+                            lambda *a, **k: pytest.fail("a solve ran"))
+    out = tmp_path / "out"
+    assert cli.main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: volfrac") and "affords no element" in err
+    assert not out.exists()
+
+
+def test_simp_runs_on_a_volfrac_that_affords_no_whole_element(tmp_path):
+    # continuous densities: the whole-element rule of CDT and BESO is not SIMP's
+    args = ["run", "--method", "simp", "--problem", "cantilever", "--nelx", "1", "--nely", "1"]
+    assert cli.main(args + ["--out", str(tmp_path)]) == 0
+    assert cli.main(["probe", "--sizes", "8x4,1x1", "--methods", "simp",
+                     "--out", str(tmp_path)]) == 0
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the CLI reads each default from the object that uses it
+    _, run = cli.parse_cli(["run"])
+    material, simp, cdt = fem.Material(), baselines.SimpConfig(), driver.CdtConfig(volfrac=0.4)
+    assert (run["E"], run["nu"], run["emin"]) == (material.E, material.nu, material.E_min)
+    assert (run["penal"], run["rmin"]) == (simp.penal, simp.rmin)
+    assert (run["mu"], run["omega2"], run["max_outer"]) == (cdt.mu, cdt.omega2, cdt.max_outer)
+    assert (simp.omega2, simp.max_outer) == (cdt.omega2, cdt.max_outer)
+    for build in PROBLEMS.values():
+        assert inspect.signature(build).parameters["load"].default == run["load"]
+    assert cli.parse_cli(["probe"])[1]["mu"] == driver.CdtConfig.mu
 
 
 def test_main_missing_config_file_is_a_usage_error(tmp_path, capsys):

@@ -53,6 +53,23 @@ def test_full_budget_converges_immediately():
     assert rec.converged
 
 
+@pytest.mark.parametrize("run", [run_cdt, run_beso], ids=["cdt", "beso"])
+def test_a_volfrac_that_affords_no_element_is_refused_before_any_solve(monkeypatch, run):
+    # 0.03 of 32 elements is 0.96 of one: the runs used to report an empty
+    # design with compliance 2.05e10 as converged
+    monkeypatch.setattr(driver, "solve_equilibrium",
+                        lambda *a, **k: pytest.fail("a solve ran"))
+    with pytest.raises(ValueError, match=r"volfrac 0.03 affords no element of 32"):
+        run(build_mbb(8, 4), CdtConfig(volfrac=0.03, mu=0.5))
+
+
+def test_a_volfrac_of_exactly_one_element_is_affordable():
+    driver.check_selection_volfrac(build_mbb(8, 4), 1 / 32)
+    driver.check_selection_volfrac(build_cantilever2d(1, 1), 1.0)
+    with pytest.raises(ValueError, match="affords no element of 3"):
+        driver.check_selection_volfrac(build_cantilever2d(3, 1), 0.33)
+
+
 def test_stored_gains_match_full_modulus_on_solid():
     model = build_mbb(10, 4)
     rho = np.ones(model.n_elements)

@@ -234,6 +234,19 @@ def test_inner_fixed_point_rejects_a_beta_or_tau0_it_cannot_use(beta, tau0, mess
         kp.inner_fixed_point(inst, inst.budget, beta, tau0=tau0)
 
 
+def test_inner_fixed_point_degenerates_on_a_breakpoint_without_a_tie():
+    # ratios 3, 1 and 0.5 are distinct, but the budget 2 cuts through element
+    # 1 (volume 2): the LP optimum is fractional there, tau_critical is a kink
+    # at its ratio and the finite-beta iteration converges onto it
+    inst = make([3.0, 2.0, 0.5], [1.0, 2.0, 1.0], 2.0)
+    assert kp.tau_critical(inst) == kp.TauCritical(1.0, 1.0, 1.0)
+    for beta in (1.0, 10.0, 100.0):
+        with pytest.raises(kp.DegenerateTheta, match="breakpoint of element 1"):
+            kp.inner_fixed_point(inst, inst.budget, beta)
+    with pytest.raises(kp.Unsolved):
+        kp.solve(inst)
+
+
 def test_recover_density_direct_values():
     inst = make([2.0], [1.0], 1.0)
     dens = kp.recover_density(kp.DualPoint(np.array([1.0]), 1.0), inst)
